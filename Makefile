@@ -10,13 +10,22 @@ FUZZTIME ?= 30s
 # catching real coverage regressions.
 COVER_BASELINE ?= 75.2
 
-.PHONY: check vet build test race benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
+.PHONY: check fmtcheck vet benchvet build test race benchsmoke metricssmoke telemetrysmoke benchstorage benchstoragesmoke benchexec benchexecsmoke bench fuzzsmoke faultsuite scenariosuite servesuite servesoak cover clean
 
 # check is the tier-1 gate: everything here must pass before a change lands.
-check: vet build race benchsmoke metricssmoke telemetrysmoke benchstoragesmoke benchexecsmoke
+check: fmtcheck vet benchvet build race benchsmoke metricssmoke telemetrysmoke benchstoragesmoke benchexecsmoke
+
+# Every Go file, the aimdbench module's included, must be gofmt-clean.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
+
+# aimdbench is its own module, so the root `go vet ./...` and `go build ./...`
+# never compile it; vetting it here catches API changes that break it.
+benchvet:
+	cd aimdbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -77,12 +86,16 @@ faultsuite:
 scenariosuite:
 	AIM_SCENARIO_SUITE=1 $(GO) test -run 'TestTuningLoopUnderScenarios|TestScenarioExplainGoldenDrift' -v ./internal/experiments/
 
-# Live-serving acceptance suite: a real aimd server on loopback driven by a
-# 16-client seeded fleet over TCP under the race detector, with the advisor
-# worker sweep {1,2,4}. Asserts zero statement errors, a clean drain, zero
-# ungated adoptions, complete adoption lineage, and byte-identical verdicts,
-# journals and adopted index sets across worker counts AND against the
-# offline experiments.Loop replay of the same statement stream.
+# Live-serving acceptance suite, under the race detector. A real aimd server
+# on loopback is driven by a 16-client seeded fleet over TCP, with the
+# advisor worker sweep {1,2,4}. Asserts zero statement errors, a clean
+# drain, zero ungated adoptions, complete adoption lineage, and
+# byte-identical verdicts, journals and adopted index sets across worker
+# counts AND against the one offline reference: a single-threaded
+# server.Tuner replay of the same statement stream. It also runs every
+# adversarial scenario at full cycles through a live server
+# (TestServeSuiteScenarioParity): journal and stability transitions must
+# equal the offline scenario run, which drives the same Tuner cycle.
 servesuite:
 	AIM_SERVE_SUITE=1 $(GO) test -race -run TestServeSuite -v ./internal/experiments/
 

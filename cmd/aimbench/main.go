@@ -167,9 +167,8 @@ func runTable2(fast bool) error {
 			row.Product, row.Tables, row.JoinQueries, row.WorkloadType,
 			row.DBAIndexCount, row.AIMIndexCount,
 			sizeStr(row.DBABytes), sizeStr(row.AIMBytes), row.Jaccard)
-		w.Flush()
 	}
-	return nil
+	return w.Flush()
 }
 
 func runFig3(product string, fast bool) error {

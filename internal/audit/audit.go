@@ -50,7 +50,8 @@ const (
 	// EventRevert: the regression detector flagged the index and it was
 	// dropped.
 	EventRevert Event = "revert"
-	// EventWindow: one sealed live-traffic window entered a tuning cycle.
+	// EventWindow: one sealed live-traffic window entered a tuning cycle
+	// (or, marked Dropped, was discarded because the tuner was busy).
 	// The record maps each normalized query in the window to the concrete
 	// statement IDs (wire trace IDs, or session#seq) that produced it — the
 	// bridge that lets Explain resolve a later adoption back to the exact
@@ -127,8 +128,11 @@ type Record struct {
 
 	// EventWindow. Cycle is the 0-based tuning-cycle ordinal (omitted when
 	// 0); Queries maps the window's normalized queries to live statement IDs.
+	// Dropped marks a sealed window the busy tuner never saw: it entered no
+	// cycle, so it carries no cycle ordinal and drives no decision.
 	Cycle   int64         `json:"cycle,omitempty"`
 	Queries []WindowQuery `json:"window_queries,omitempty"`
+	Dropped bool          `json:"dropped,omitempty"`
 }
 
 // Journal appends records to a writer, one JSON line each. Safe for

@@ -67,7 +67,9 @@ func TestJournalDeterministicModuloTimestamps(t *testing.T) {
 	if a == b {
 		t.Fatal("clocks did not differ; test is vacuous")
 	}
-	strip := func(s string) string { return strings.ReplaceAll(strings.ReplaceAll(s, `"ts_us":1111,`, ""), `"ts_us":2222,`, "") }
+	strip := func(s string) string {
+		return strings.ReplaceAll(strings.ReplaceAll(s, `"ts_us":1111,`, ""), `"ts_us":2222,`, "")
+	}
 	if strip(a) != strip(b) {
 		t.Errorf("journals differ beyond timestamps:\n%s\n---\n%s", strip(a), strip(b))
 	}
@@ -181,8 +183,9 @@ func TestAdoptedThenReverted(t *testing.T) {
 // TestExplainWindowStatements pins the flight-recorder lineage bridge: an
 // EventWindow record preceding an adoption resolves the adopted index back
 // to the concrete live statement IDs whose normalized queries the index
-// serves — and only those. Journals without window records (offline runs)
-// keep WindowStatements empty and render unchanged.
+// serves — and only those, skipping dropped windows. Journals without
+// window records (offline runs) keep WindowStatements empty and render
+// unchanged.
 func TestExplainWindowStatements(t *testing.T) {
 	var sb strings.Builder
 	j := New(&sb)
@@ -199,6 +202,12 @@ func TestExplainWindowStatements(t *testing.T) {
 	j.Append(&Record{Event: EventWindow, Cycle: 1, Queries: []WindowQuery{
 		{Query: "SELECT score FROM events WHERE user_id = ?", Count: 2,
 			Statements: []string{"t-0001-1-2", "t-0002-1-5"}},
+	}})
+	// A window the busy tuner dropped drove no decision: even though it is
+	// the latest, the lineage must skip it.
+	j.Append(&Record{Event: EventWindow, Dropped: true, Queries: []WindowQuery{
+		{Query: "SELECT score FROM events WHERE user_id = ?", Count: 1,
+			Statements: []string{"t-0001-2-0"}},
 	}})
 	j.Append(&Record{Event: EventRank, IndexKey: "events(user_id)", Index: "aim_events_1", Table: "events",
 		Selected: boolPtr(true), Decision: "selected"})

@@ -133,7 +133,8 @@ func Explain(records []*Record, ref string) (*Lineage, error) {
 // windowStatements resolves an adopted index back to the live statements
 // that drove it: the candidate records name the normalized queries the index
 // serves, the latest EventWindow before the adoption names the statements
-// that executed each query in that window. Nil when the index was never
+// that executed each query in that window (windows the tuner dropped drove
+// nothing and are skipped). Nil when the index was never
 // adopted or the journal has no window records (offline runs).
 func windowStatements(records []*Record, l *Lineage) []string {
 	if !l.Adopted() {
@@ -150,7 +151,7 @@ func windowStatements(records []*Record, l *Lineage) []string {
 	}
 	var win *Record
 	for _, r := range records {
-		if r.Event == EventWindow && r.Seq < adopt.Seq {
+		if r.Event == EventWindow && !r.Dropped && r.Seq < adopt.Seq {
 			win = r // journal order: the last match is the latest window
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"aim/internal/engine"
 	"aim/internal/obs"
 	"aim/internal/regression"
+	"aim/internal/server"
 	"aim/internal/shadow"
 	"aim/internal/telemetry"
 	"aim/internal/workload"
@@ -28,7 +29,7 @@ type ContinuousResult struct {
 	// re-tuning, and OrderOfMagnitude those improved by ≥10×.
 	ImprovedQueries    int
 	OrderOfMagnitude   int
-	NewIndexes         int
+	NewIndexes         int // indexes the re-tuning run adopted
 	ShadowAccepted     bool
 	RegressionsFlagged int
 	// CPUSavingFraction is (phase2 - phase3) / phase2 — the paper reports
@@ -119,7 +120,6 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 
 	cfg := core.DefaultConfig()
 	cfg.Selection.MinExecutions = 1
-	adv := core.NewAdvisor(db, cfg)
 	detector := regression.NewDetector(0.5)
 	out := &ContinuousResult{}
 
@@ -144,24 +144,30 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 		}
 	}
 
-	// Phase 1: steady state — tune the original workload to convergence.
-	// Adoption goes through the shadow gate like every other cycle, so even
-	// the steady-state indexes carry a full candidate→rank→shadow→adopt
-	// lineage in the audit journal.
-	mon1, _ := window(oldQueries)
-	if rec, err := adv.Recommend(mon1); err == nil && len(rec.Create) > 0 {
-		rep1, verr := shadow.Validate(db, rec.Create, mon1, shadow.DefaultGate())
-		if verr != nil {
-			rep1 = &shadow.Report{Degraded: true, Code: shadow.CodeCloneUnavailable, Reason: verr.Error()}
-		}
-		if tel != nil {
-			tel.SetShadowReport(rep1)
-		}
-		if rep1.Accepted {
-			if _, err := adv.Apply(rec); err != nil {
-				return nil, err
+	// The periodic AIM runs go through the tuning cycle with the detector
+	// left out: adoption is gated by shadow validation like every other
+	// cycle, so even the steady-state indexes carry a full
+	// candidate→rank→shadow→adopt lineage in the audit journal, while the
+	// study observes its fixed-point windows itself. A failed validation
+	// degrades to "no change" — the study ticks on untuned rather than
+	// aborting, as production rides out a MyShadow outage.
+	var report *shadow.Report
+	tuner := &server.Tuner{
+		DB:   db,
+		Adv:  core.NewAdvisor(db, cfg),
+		Gate: shadow.DefaultGate(),
+		OnReport: func(rep *shadow.Report) {
+			report = rep
+			if tel != nil {
+				tel.SetShadowReport(rep)
 			}
-		}
+		},
+	}
+
+	// Phase 1: steady state — tune the original workload to convergence.
+	mon1, _ := window(oldQueries)
+	if _, err := tuner.Cycle(mon1); err != nil {
+		return nil, err
 	}
 	mon1b, cpu1 := window(oldQueries)
 	detector.Observe(db, mon1b)
@@ -179,27 +185,14 @@ func RunContinuous(opts ContinuousOptions) (*ContinuousResult, error) {
 	out.RegressionsFlagged = len(detector.Observe(db, mon2))
 
 	// Periodic AIM run detects the new inefficient queries; the shadow gate
-	// validates before production applies. Validation failures degrade to
-	// "no change" — the loop ticks on untuned rather than aborting, exactly
-	// as the production deployment would ride out a MyShadow outage.
-	rec, err := adv.Recommend(mon2)
-	if err != nil {
+	// validates before production applies.
+	report = nil
+	adopted := len(automationIndexKeys(db))
+	if _, err := tuner.Cycle(mon2); err != nil {
 		return nil, err
 	}
-	out.NewIndexes = len(rec.Create)
-	report, err := shadow.Validate(db, rec.Create, mon2, shadow.DefaultGate())
-	if err != nil {
-		report = &shadow.Report{Degraded: true, Code: shadow.CodeCloneUnavailable, Reason: err.Error()}
-	}
-	if tel != nil {
-		tel.SetShadowReport(report)
-	}
-	out.ShadowAccepted = report.Accepted
-	if report.Accepted {
-		if _, err := adv.Apply(rec); err != nil {
-			return nil, err
-		}
-	}
+	out.NewIndexes = len(automationIndexKeys(db)) - adopted
+	out.ShadowAccepted = report != nil && report.Accepted
 
 	// Phase 3: same mixed workload after re-tuning.
 	mon3, cpu3 := window(mixed)

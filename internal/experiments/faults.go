@@ -11,6 +11,7 @@ import (
 	"aim/internal/failpoint"
 	"aim/internal/obs"
 	"aim/internal/regression"
+	"aim/internal/server"
 	"aim/internal/shadow"
 )
 
@@ -90,9 +91,8 @@ func faultSpec(p float64) string {
 
 // newTuningLoop builds the fixture: one table, a read workload whose hot
 // filter column is unindexed, so the fault-free advisor converges on a
-// stable one-index recommendation set. The loop runs with the default
-// policy (no cooldown, no unused-drop retirement, no maintenance guard),
-// which is the original fault-suite behavior.
+// stable one-index recommendation set. The detector runs with its default
+// policy (no cooldown, no unused-drop retirement, no maintenance guard).
 func newTuningLoop(opts FaultSuiteOptions) *Loop {
 	db := engine.New("faults")
 	if opts.Obs != nil {
@@ -108,17 +108,19 @@ func newTuningLoop(opts FaultSuiteOptions) *Loop {
 	cfg := core.DefaultConfig()
 	cfg.Selection.MinExecutions = 1
 	return &Loop{
-		DB:       db,
-		Adv:      core.NewAdvisor(db, cfg),
-		Detector: regression.NewDetector(0.5),
+		Tuner: &server.Tuner{
+			DB:       db,
+			Adv:      core.NewAdvisor(db, cfg),
+			Detector: regression.NewDetector(0.5),
+			Gate:     shadow.DefaultGate(),
+		},
 		Sample: func(_ int, r *rand.Rand) string {
 			if r.Intn(4) == 0 {
 				return fmt.Sprintf("SELECT id FROM events WHERE kind = %d AND score > %d", r.Intn(8), r.Intn(900))
 			}
 			return fmt.Sprintf("SELECT score FROM events WHERE user_id = %d", r.Intn(150))
 		},
-		R:    r,
-		Gate: shadow.DefaultGate(),
+		R: r,
 	}
 }
 

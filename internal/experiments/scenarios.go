@@ -10,6 +10,7 @@ import (
 	"aim/internal/obs"
 	"aim/internal/regression"
 	"aim/internal/scenarios"
+	"aim/internal/server"
 	"aim/internal/shadow"
 )
 
@@ -120,6 +121,30 @@ func (res *ScenarioResult) Violations(p scenarios.Profile) []string {
 	return out
 }
 
+// scenarioDetector builds the regression detector carrying the profile's
+// loop policy: detector tuning, retirement and the maintenance guard.
+func scenarioDetector(p scenarios.Profile) *regression.Detector {
+	threshold := p.DetectorThreshold
+	if threshold <= 0 {
+		threshold = 0.5
+	}
+	det := regression.NewDetector(threshold)
+	det.ConfirmWindows = p.ConfirmWindows
+	det.AnchorWindows = p.AnchorWindows
+	det.RevertCooldown = p.RevertCooldown
+	det.MaintenanceGuard = p.MaintenanceGuard
+	det.DropAfterUnused = p.DropAfterUnused
+	return det
+}
+
+// scenarioAdvisorCfg is the advisor configuration every scenario run uses.
+func scenarioAdvisorCfg(parallelism int) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Selection.MinExecutions = 1
+	cfg.Parallelism = parallelism
+	return cfg
+}
+
 // RunScenario drives the continuous-tuning loop through one adversarial
 // scenario under the profile's loop policy, with the same per-cycle
 // invariants as the fault suite: an accepted-but-degraded shadow verdict is
@@ -145,35 +170,19 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 	if opts.Audit != nil {
 		db.SetAudit(opts.Audit)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Selection.MinExecutions = 1
-	cfg.Parallelism = opts.Parallelism
-
-	threshold := p.DetectorThreshold
-	if threshold <= 0 {
-		threshold = 0.5
-	}
-	det := regression.NewDetector(threshold)
-	det.ConfirmWindows = p.ConfirmWindows
-	det.AnchorWindows = p.AnchorWindows
-	det.RevertCooldown = p.RevertCooldown
-
-	stab := regression.NewStability()
-	if opts.Obs != nil {
-		stab.SetObs(opts.Obs)
-	}
 	loop := &Loop{
-		DB:               db,
-		Adv:              core.NewAdvisor(db, cfg),
-		Detector:         det,
-		Gate:             shadow.DefaultGate(),
-		Sample:           sc.Statement,
-		Advance:          sc.Advance,
-		R:                r,
-		MaintenanceGuard: p.MaintenanceGuard,
-		ApplyDrops:       p.ApplyDrops,
-		DropAfterUnused:  p.DropAfterUnused,
-		Stab:             stab,
+		Tuner: &server.Tuner{
+			DB:       db,
+			Adv:      core.NewAdvisor(db, scenarioAdvisorCfg(opts.Parallelism)),
+			Detector: scenarioDetector(p),
+			Gate:     shadow.DefaultGate(),
+		},
+		Sample:  sc.Statement,
+		Advance: sc.Advance,
+		R:       r,
+	}
+	if opts.Obs != nil {
+		loop.Stability().SetObs(opts.Obs)
 	}
 	for i := 0; i < cycles; i++ {
 		if _, err := loop.RunCycle(p.WindowStatements); err != nil {
@@ -184,23 +193,30 @@ func RunScenario(sc scenarios.Scenario, opts ScenarioOptions) (*ScenarioResult, 
 		}
 	}
 
+	return scenarioResult(sc, cycles, loop.Tuner), nil
+}
+
+// scenarioResult reads a finished scenario run off the tuner that drove it:
+// its counters, its Stability tracker and its database's final index set.
+func scenarioResult(sc scenarios.Scenario, cycles int, t *server.Tuner) *ScenarioResult {
+	stab := t.Stability()
 	res := &ScenarioResult{
 		Name:                sc.Name(),
 		Cycles:              cycles,
-		Adoptions:           loop.Adoptions,
-		ApplyFailures:       loop.ApplyFailures,
-		DegradedValidations: loop.DegradedValidations,
-		Reverted:            loop.Reverted,
+		Adoptions:           t.Adoptions,
+		ApplyFailures:       t.ApplyFailures,
+		DegradedValidations: t.DegradedValidations,
+		Reverted:            t.Reverted,
 		AdoptedThenReverted: stab.AdoptedThenReverted(),
 		MaxRevertLatency:    stab.MaxRevertLatency(),
-		FinalIndexKeys:      automationIndexKeys(db),
+		FinalIndexKeys:      automationIndexKeys(t.DB),
 	}
 	res.MaxFlipsKey, res.MaxFlips = stab.MaxFlips()
-	if _, w, ok := stab.FirstRevertAt(p.TrapCycle + 1); ok {
+	if _, w, ok := stab.FirstRevertAt(sc.Profile().TrapCycle + 1); ok {
 		res.FirstRevertAfterTrap = w
 	}
 	var tr strings.Builder
 	stab.Render(&tr)
 	res.Transitions = tr.String()
-	return res, nil
+	return res
 }

@@ -21,8 +21,8 @@ import (
 
 // ServeSuiteOptions parameterizes the live-serving acceptance suite: a real
 // aimd server on loopback, a seeded concurrent client fleet, and the
-// determinism cross-checks that tie a networked run back to the offline
-// batch loop.
+// determinism cross-checks that tie a networked run back to an offline
+// replay of the same cycle.
 type ServeSuiteOptions struct {
 	// Clients, Rounds, PerRound shape the fleet (see loadgen.Options).
 	Clients  int
@@ -83,18 +83,19 @@ type ServeRunResult struct {
 	TracedAdoptions int
 }
 
-// ServeSuiteResult aggregates the sweep plus the two offline references.
+// ServeSuiteResult aggregates the sweep plus the offline reference: a
+// single-threaded server.Tuner replay of the same windows — the one cycle
+// implementation, which the fault and scenario suites also drive.
 type ServeSuiteResult struct {
-	// ReferenceKeys is the index set the offline experiments.Loop replay of
-	// the same statement stream converges to; every live run must match it.
+	// ReferenceKeys is the index set the offline replay converges to; every
+	// live run must match it.
 	ReferenceKeys []string
-	// ReferenceVerdicts are the verdict lines an offline single-threaded
-	// tuner replay of the same windows renders; live runs must match them
-	// byte for byte.
+	// ReferenceVerdicts are the verdict lines the offline replay renders;
+	// live runs must match them byte for byte.
 	ReferenceVerdicts []string
-	// ReferenceJournal is the offline tuner replay's normalized decision
-	// journal — window records included, with the same deterministic trace
-	// IDs the fleet sends. Every live run's journal must equal it.
+	// ReferenceJournal is the offline replay's normalized decision journal —
+	// window records included, with the same deterministic trace IDs the
+	// fleet sends. Every live run's journal must equal it.
 	ReferenceJournal []string
 	Runs             []ServeRunResult
 }
@@ -138,13 +139,12 @@ func serveAdvisorCfg(workers int) core.Config {
 
 // RunServeSuite executes the acceptance suite:
 //
-//  1. An offline experiments.Loop replay of the precomputed fleet stream
-//     establishes the reference index set.
-//  2. An offline single-threaded server.Tuner replay of the same windows
-//     establishes the reference verdict lines.
-//  3. For each worker count, a real server is booted on loopback and the
+//  1. An offline single-threaded server.Tuner replay of the precomputed
+//     fleet stream establishes the reference index set, verdict lines and
+//     decision journal.
+//  2. For each worker count, a real server is booted on loopback and the
 //     seeded fleet drives it over TCP with a tuning cycle at every round
-//     barrier; the run must drain cleanly and match both references.
+//     barrier; the run must drain cleanly and match the reference.
 //
 // It returns an error on the first violated invariant: a statement error, a
 // dirty drain, a leftover buffered statement, an ungated adoption, an
@@ -168,22 +168,12 @@ func RunServeSuite(opts ServeSuiteOptions) (*ServeSuiteResult, error) {
 	}
 	stream := loadgen.Stream(lgOpts)
 
-	out := &ServeSuiteResult{}
-	var err error
-	if out.ReferenceKeys, err = serveLoopReplay(opts, stream); err != nil {
+	out, err := serveTunerReplay(opts, stream)
+	if err != nil {
 		return nil, err
 	}
 	if len(out.ReferenceKeys) == 0 {
 		return nil, fmt.Errorf("serve: offline replay adopted no indexes; fixture is not exercising the loop")
-	}
-	refKeys2, refVerdicts, refJournal, err := serveTunerReplay(opts, stream)
-	if err != nil {
-		return nil, err
-	}
-	out.ReferenceVerdicts = refVerdicts
-	out.ReferenceJournal = refJournal
-	if !equalStrings(out.ReferenceKeys, refKeys2) {
-		return nil, fmt.Errorf("serve: offline loop and offline tuner disagree: %v vs %v", out.ReferenceKeys, refKeys2)
 	}
 
 	for _, workers := range opts.Parallelism {
@@ -224,45 +214,14 @@ func RunServeSuite(opts ServeSuiteOptions) (*ServeSuiteResult, error) {
 	return out, nil
 }
 
-// serveLoopReplay replays the fleet stream through the batch
-// experiments.Loop — the machinery the fault and scenario suites certify —
-// and returns the index set it adopts. One loop cycle consumes one round's
-// statements in the canonical window order.
-func serveLoopReplay(opts ServeSuiteOptions, stream [][]string) ([]string, error) {
-	db := serveFixture(opts.Rows, opts.Seed)
-	cfg := serveAdvisorCfg(1)
-	pos := make([]int, len(stream))
-	loop := &Loop{
-		DB:       db,
-		Adv:      core.NewAdvisor(db, cfg),
-		Detector: regression.NewDetector(0.5),
-		Gate:     shadow.DefaultGate(),
-		Sample: func(cycle int, _ *rand.Rand) string {
-			s := stream[cycle][pos[cycle]]
-			pos[cycle]++
-			return s
-		},
-		R: rand.New(rand.NewSource(opts.Seed)),
-	}
-	perWindow := opts.Clients * opts.PerRound
-	for round := 0; round < opts.Rounds; round++ {
-		if _, err := loop.RunCycle(perWindow); err != nil {
-			return nil, fmt.Errorf("serve: loop replay round %d: %v", round, err)
-		}
-		if err := checkLoopInvariants(db); err != nil {
-			return nil, fmt.Errorf("serve: loop replay round %d: %v", round, err)
-		}
-	}
-	return automationIndexKeys(db), nil
-}
-
 // serveTunerReplay replays the fleet stream through the server's own Tuner,
 // single-threaded with no statement gate, building each round's window in
 // the canonical (session, seq) order the live collector seals — including
-// the deterministic trace IDs the fleet sends. Its verdict lines and its
+// the deterministic trace IDs the fleet sends — and cross-checking catalog
+// against store after every round. Its adopted index set, verdict lines and
 // normalized decision journal (window records included) are the references
 // a live run must reproduce byte for byte.
-func serveTunerReplay(opts ServeSuiteOptions, stream [][]string) ([]string, []string, []string, error) {
+func serveTunerReplay(opts ServeSuiteOptions, stream [][]string) (*ServeSuiteResult, error) {
 	db := serveFixture(opts.Rows, opts.Seed)
 	var buf bytes.Buffer
 	jrn := audit.New(&buf)
@@ -284,7 +243,7 @@ func serveTunerReplay(opts ServeSuiteOptions, stream [][]string) ([]string, []st
 				sql := stream[round][c*opts.PerRound+i]
 				res, err := db.Exec(sql)
 				if err != nil {
-					return nil, nil, nil, fmt.Errorf("serve: tuner replay round %d %s: %v", round, sql, err)
+					return nil, fmt.Errorf("serve: tuner replay round %d %s: %v", round, sql, err)
 				}
 				seq[c]++
 				w = append(w, server.Record{Session: loadgen.Label(c), Seq: seq[c],
@@ -294,22 +253,29 @@ func serveTunerReplay(opts ServeSuiteOptions, stream [][]string) ([]string, []st
 		server.SortWindow(w)
 		line, err := tuner.CycleWindow(w)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("serve: tuner replay round %d: %v", round, err)
+			return nil, fmt.Errorf("serve: tuner replay round %d: %v", round, err)
+		}
+		if err := checkLoopInvariants(db); err != nil {
+			return nil, fmt.Errorf("serve: tuner replay round %d: %v", round, err)
 		}
 		verdicts = append(verdicts, line)
 	}
 	if err := jrn.Close(); err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: tuner replay journal: %v", err)
+		return nil, fmt.Errorf("serve: tuner replay journal: %v", err)
 	}
 	records, err := audit.ReadRecords(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("serve: tuner replay journal: %v", err)
+		return nil, fmt.Errorf("serve: tuner replay journal: %v", err)
 	}
 	journal, err := normalizeJournal(records)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return automationIndexKeys(db), verdicts, journal, nil
+	return &ServeSuiteResult{
+		ReferenceKeys:     automationIndexKeys(db),
+		ReferenceVerdicts: verdicts,
+		ReferenceJournal:  journal,
+	}, nil
 }
 
 // serveLiveRun boots a real server on an ephemeral loopback port, drives

@@ -31,13 +31,13 @@ type TSSample struct {
 	TSUS int64 `json:"ts_us"`
 	// IntervalSeconds is the wall clock since the previous tick (0 on the
 	// first).
-	IntervalSeconds float64 `json:"interval_seconds"`
+	IntervalSeconds float64          `json:"interval_seconds"`
 	Counters        map[string]int64 `json:"counters,omitempty"`
 	// Rates are counter deltas divided by IntervalSeconds.
-	Rates      map[string]float64      `json:"rates,omitempty"`
-	Gauges     map[string]int64        `json:"gauges,omitempty"`
-	Histograms map[string]TSQuantiles  `json:"histograms,omitempty"`
-	Spans      map[string]TSQuantiles  `json:"spans,omitempty"`
+	Rates      map[string]float64     `json:"rates,omitempty"`
+	Gauges     map[string]int64       `json:"gauges,omitempty"`
+	Histograms map[string]TSQuantiles `json:"histograms,omitempty"`
+	Spans      map[string]TSQuantiles `json:"spans,omitempty"`
 }
 
 // TimeSeries samples an obs registry into a fixed-size ring, turning the

@@ -78,13 +78,25 @@ type Detector struct {
 	// same key doubles the suppression, bounding the adopt/revert flips of
 	// any one index to O(log windows). 0 disables suppression.
 	RevertCooldown int
+	// MaintenanceGuard asks the tuning cycle to also run the
+	// write-amplification economics check (ObserveMaintenance) every
+	// window. Off, an index adopted under a read-heavy mix survives a flip
+	// to write-heavy traffic; on, a mix whose reads pay for an index only
+	// part of the time sheds it too, so it is a per-workload choice.
+	MaintenanceGuard bool
+	// DropAfterUnused retires an automation index the advisor reports
+	// unused for this many consecutive windows (see RetireUnused). 0 never
+	// retires: unused indexes are then only removed by regressions.
+	DropAfterUnused int
 
-	mu   sync.Mutex          // guards prev/cooldown: Observe vs. telemetry Baselines
+	mu   sync.Mutex          // guards prev/cooldown/unusedStreak: Observe vs. telemetry Baselines
 	prev map[string]baseline // normalized query -> last known cpu_avg
 	// cooldown maps index key -> remaining suppression windows; penalty
 	// remembers the next suppression length (doubled on every revert).
 	cooldown map[string]int
 	penalty  map[string]int
+	// unusedStreak maps index key -> consecutive windows reported unused.
+	unusedStreak map[string]int
 }
 
 // NewDetector returns a detector with the given regression threshold.
@@ -142,6 +154,53 @@ func (d *Detector) InCooldown(key string) bool {
 	return d.cooldown[key] > 0
 }
 
+// RetireUnused ages automation indexes through the advisor's unused-drop
+// proposals for one window and returns an "unused_index" regression for
+// every index reported unused for DropAfterUnused consecutive windows, in
+// key order, ready for Revert (which journals the reason and starts the
+// cooldown). One busy window resets an index's streak; DBA, unowned and
+// hypothetical indexes are never retired. A no-op when DropAfterUnused is 0.
+func (d *Detector) RetireUnused(drop []*catalog.Index) []*Regression {
+	if d.DropAfterUnused <= 0 {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.unusedStreak == nil {
+		d.unusedStreak = map[string]int{}
+	}
+	unused := map[string]*catalog.Index{}
+	for _, ix := range drop {
+		if ix.Hypothetical || ix.CreatedBy == "" || ix.CreatedBy == "dba" {
+			continue
+		}
+		unused[ix.Key()] = ix
+	}
+	for k := range d.unusedStreak {
+		if _, ok := unused[k]; !ok {
+			delete(d.unusedStreak, k)
+		}
+	}
+	keys := make([]string, 0, len(unused))
+	for k := range unused {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var due []*Regression
+	for _, k := range keys {
+		d.unusedStreak[k]++
+		if d.unusedStreak[k] < d.DropAfterUnused {
+			continue
+		}
+		delete(d.unusedStreak, k)
+		due = append(due, &Regression{
+			ReasonCode:     "unused_index",
+			SuspectIndexes: []*catalog.Index{unused[k]},
+		})
+	}
+	return due
+}
+
 // Regression describes one detected per-query regression.
 type Regression struct {
 	Normalized string
@@ -156,7 +215,7 @@ type Regression struct {
 	// ReasonCode classifies the revert motive for the audit journal:
 	// "query_regressed" (the default when empty), "maintenance_regression"
 	// (write amplification outweighing read gain, ObserveMaintenance) or
-	// "unused_index" (retired by the loop's unused-drop policy).
+	// "unused_index" (retired by RetireUnused).
 	ReasonCode string
 }
 

@@ -43,7 +43,6 @@ func (d *Diurnal) Profile() Profile {
 		TrapCycle:        diurnalPeriod / 2, // first nightfall
 		ConfirmWindows:   2,
 		RevertCooldown:   6,
-		ApplyDrops:       true,
 		// Longer than one night: an index must sit unused through dusk AND
 		// the following day before retirement, so the nightly lull alone
 		// never sheds it.

@@ -45,7 +45,6 @@ func (f *FlashCrowd) Profile() Profile {
 		WindowStatements: 40,
 		TrapCycle:        crowdEnd,
 		RevertCooldown:   8,
-		ApplyDrops:       true,
 		DropAfterUnused:  5,
 		MaxFlipsPerKey:   1,
 		RequireAdoption:  true,

@@ -48,7 +48,6 @@ func (m *Migration) Profile() Profile {
 		TrapCycle:        migrationCycle,
 		ConfirmWindows:   2,
 		RevertCooldown:   6,
-		ApplyDrops:       true,
 		DropAfterUnused:  5,
 		MaxFlipsPerKey:   1,
 		RequireAdoption:  true,

@@ -36,14 +36,14 @@ type Profile struct {
 	// are measured from it.
 	TrapCycle int
 
-	// Loop policy: detector tuning and retirement behavior the scenario is
-	// designed to exercise. Zero values select the detector defaults.
+	// Loop policy: the regression.Detector settings (tuning, maintenance
+	// guard, unused-index retirement) the scenario is designed to exercise.
+	// Zero values select the detector defaults: no guard, no retirement.
 	DetectorThreshold float64
 	ConfirmWindows    int
 	AnchorWindows     int
 	RevertCooldown    int
 	MaintenanceGuard  bool
-	ApplyDrops        bool
 	DropAfterUnused   int
 
 	// Stability bounds. MaxFlipsPerKey caps re-adoptions after a revert for

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aim/internal/audit"
 	"aim/internal/core"
 	"aim/internal/engine"
 	"aim/internal/failpoint"
@@ -48,7 +49,8 @@ type Options struct {
 	DrainTimeout time.Duration
 	// Obs receives the server metrics (server.connections_open,
 	// server.frames, server.window_statements, server.windows_sealed,
-	// server.tune_cycles, server.drain_seconds) and, when set, a
+	// server.windows_dropped, server.tune_cycles, server.drain_seconds, and
+	// the tuner's regression.stability.* transitions) and, when set, a
 	// "server/stmt" span per executed statement annotated with (session,
 	// seq, trace). Nil = metrics off.
 	Obs *obs.Registry
@@ -88,11 +90,12 @@ type Server struct {
 	windows chan []Record // auto-sealed windows to the tuner goroutine
 	tunerWG sync.WaitGroup
 
-	connsOpen *obs.Gauge
-	frames    *obs.Counter
-	acceptErr *obs.Counter
-	readErr   *obs.Counter
-	drainHist *obs.Histogram
+	connsOpen      *obs.Gauge
+	frames         *obs.Counter
+	acceptErr      *obs.Counter
+	readErr        *obs.Counter
+	windowsDropped *obs.Counter
+	drainHist      *obs.Histogram
 }
 
 // writeLocker adapts the server's statement gate to the engine's clone
@@ -147,6 +150,7 @@ func New(opts Options) *Server {
 		s.frames = r.Counter("server.frames")
 		s.acceptErr = r.Counter("server.accept_errors")
 		s.readErr = r.Counter("server.read_errors")
+		s.windowsDropped = r.Counter("server.windows_dropped")
 		s.drainHist = r.Histogram("server.drain_seconds")
 		s.tuner.Instrument(r)
 	}
@@ -339,7 +343,7 @@ func (s *Server) respond(conn net.Conn, writeTO time.Duration, resp *Response) b
 // write side), then feeds the collector, the per-statement span, and the
 // slow-query log. Failed statements produce a typed error and are not
 // observed — the monitor sees only executions that contributed load,
-// matching the batch loop's semantics.
+// matching the offline Loop's window semantics.
 func (s *Server) execStatement(session string, seq uint64, trace, sql string) *Response {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -397,15 +401,29 @@ func (s *Server) execStatement(session string, seq uint64, trace, sql string) *R
 		select {
 		case s.windows <- w:
 		default:
-			// The tuner is mid-cycle and the queue is full: re-buffer is
-			// pointless (the statements were consumed), drop the window and
-			// let the next one carry fresher traffic.
+			s.dropWindow(w)
 		}
 	}
 	if isSelect {
 		return &Response{Tag: TagRows, Columns: res.Columns, Rows: res.Rows}
 	}
 	return &Response{Tag: TagOK, Affected: res.Stats.RowsSent}
+}
+
+// dropWindow discards a sealed window the tuner cannot take: it is mid-cycle
+// and the queue is full. Re-buffering is pointless (the statements were
+// consumed) and the next window carries fresher traffic, but the drop is
+// counted in server.windows_dropped and journaled as a window record marked
+// dropped, so its statements stay traceable.
+func (s *Server) dropWindow(w []Record) {
+	if s.windowsDropped != nil {
+		s.windowsDropped.Inc()
+	}
+	if j := s.db.AuditJournal(); j != nil {
+		if queries, err := windowQueries(w, nil); err == nil {
+			j.Append(&audit.Record{Event: audit.EventWindow, Queries: queries, Dropped: true})
+		}
+	}
 }
 
 // TuneNow seals the collector's current window and runs one tuning cycle

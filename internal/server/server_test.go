@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"aim/internal/audit"
 	"aim/internal/engine"
 	"aim/internal/failpoint"
 	"aim/internal/obs"
@@ -257,6 +259,85 @@ func TestServerAutoWindowTunes(t *testing.T) {
 		if strings.HasPrefix(line, "FATAL") {
 			t.Fatalf("tuner aborted: %s", line)
 		}
+	}
+}
+
+// TestServerCountsDroppedWindows forces the tuner to be busy while two more
+// windows seal: the first waits in the queue, the second has nowhere to go.
+// The drop must be counted in server.windows_dropped and journaled as a
+// window record marked dropped, carrying the statement it discarded; the
+// windows that did enter a cycle are journaled as usual.
+func TestServerCountsDroppedWindows(t *testing.T) {
+	reg := obs.NewRegistry()
+	var jb bytes.Buffer
+	jrn := audit.New(&jb)
+	db := engine.New("dropwindow")
+	db.MustExec(`CREATE TABLE kv (id INT, v INT, PRIMARY KEY (id))`)
+	db.MustExec(`INSERT INTO kv VALUES (1, 1)`)
+	db.SetAudit(jrn)
+	s, addr := startTestServer(t, Options{DB: db, WindowStatements: 1, Obs: reg})
+	c, err := Dial(addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Hello("dropper"); err != nil {
+		t.Fatal(err)
+	}
+	query := func() {
+		t.Helper()
+		if _, err := c.Query("SELECT v FROM kv WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Holding the cycle lock parks the tuner goroutine inside its first
+	// cycle, so the queue (capacity 1) drains exactly once.
+	s.tuner.mu.Lock()
+	query() // window 1: taken by the tuner, which blocks on the cycle lock
+	for deadline := time.Now().Add(10 * time.Second); len(s.windows) > 0; {
+		if time.Now().After(deadline) {
+			s.tuner.mu.Unlock()
+			t.Fatal("tuner never took the first window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	query() // window 2: queued
+	query() // window 3: dropped
+	s.tuner.mu.Unlock()
+	if err := s.Shutdown(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := reg.Counter("server.windows_dropped").Value(); got != 1 {
+		t.Fatalf("server.windows_dropped = %d, want 1", got)
+	}
+	if got := s.Tuner().Cycles; got != 2 {
+		t.Fatalf("tuner ran %d cycles, want 2", got)
+	}
+	if err := jrn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := audit.ReadRecords(bytes.NewReader(jb.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped, cycled []*audit.Record
+	for _, r := range recs {
+		if r.Event != audit.EventWindow {
+			continue
+		}
+		if r.Dropped {
+			dropped = append(dropped, r)
+		} else {
+			cycled = append(cycled, r)
+		}
+	}
+	if len(cycled) != 2 || len(dropped) != 1 {
+		t.Fatalf("journaled %d cycled and %d dropped windows, want 2 and 1", len(cycled), len(dropped))
+	}
+	d := dropped[0]
+	if d.Cycle != 0 || len(d.Queries) != 1 || d.Queries[0].Count != 1 ||
+		len(d.Queries[0].Statements) != 1 || d.Queries[0].Statements[0] != "dropper#3" {
+		t.Fatalf("dropped window record = %+v", d)
 	}
 }
 

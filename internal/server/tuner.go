@@ -16,14 +16,17 @@ import (
 	"aim/internal/workload"
 )
 
-// Tuner runs the continuous-tuning cycle against the serving database, fed
-// by sealed collector windows instead of a replayed workload file. The
-// per-cycle ordering is the same safety contract the fault and scenario
-// suites assert on the batch loop (experiments.Loop): recommend, filter
-// cooldowns, gate every creation through shadow validation or change
-// nothing, apply, then let the regression detector revert. An
-// accepted-but-degraded verdict is the one fatal error — it would be an
-// ungated adoption.
+// Tuner is the continuous-tuning cycle — the one implementation the live
+// server, the offline fault and scenario suites (experiments.Loop) and the
+// continuous study all run. Each cycle observes one window and keeps the
+// paper's safety contract in a fixed order: recommend, filter candidates in
+// their revert cooldown, gate every creation through shadow validation or
+// change nothing, apply, retire indexes unused for the detector's
+// DropAfterUnused windows, observe the window (plus the write-amplification
+// guard when the detector's MaintenanceGuard is on), then revert what the
+// detector flags. An accepted-but-degraded verdict is the one fatal error —
+// it would be an ungated adoption. Every adopt and revert is recorded in the
+// tuner's Stability tracker.
 //
 // Locking: the tuner shares the server's statement gate. Recommending and
 // observing hold the read side (stats collection must not race live DML);
@@ -32,8 +35,11 @@ import (
 // engine.DB.SetCloneGate), so replays run against frozen snapshots while
 // live client traffic proceeds.
 type Tuner struct {
-	DB       *engine.DB
-	Adv      *core.Advisor
+	DB  *engine.DB
+	Adv *core.Advisor
+	// Detector watches the windows after the gate; nil skips the cooldown
+	// filter, retirement, observation and revert (a caller that drives its
+	// own detector).
 	Detector *regression.Detector
 	Gate     shadow.Gate
 	// Exec is the server's statement gate; nil means the caller already
@@ -50,15 +56,28 @@ type Tuner struct {
 	DegradedValidations int
 	Reverted            int
 	verdicts            []string
+	stab                *regression.Stability
 
 	tuneCycles *obs.Counter // server.tune_cycles
 }
 
-// Instrument attaches the tuner's counters to r.
+// Instrument attaches the tuner's counters to r, the Stability tracker's
+// regression.stability.* counters included.
 func (t *Tuner) Instrument(r *obs.Registry) {
 	if r != nil {
 		t.tuneCycles = r.Counter("server.tune_cycles")
+		t.Stability().SetObs(r)
 	}
+}
+
+// Stability returns the tracker of every adopt/revert transition the tuner
+// made, one window per cycle. It is not safe for concurrent use: read it
+// between cycles.
+func (t *Tuner) Stability() *regression.Stability {
+	if t.stab == nil {
+		t.stab = regression.NewStability()
+	}
+	return t.stab
 }
 
 // CycleWindow builds the window's monitor from a sealed (sorted) record
@@ -71,6 +90,17 @@ func (t *Tuner) Instrument(r *obs.Registry) {
 // that drove it.
 func (t *Tuner) CycleWindow(w []Record) (string, error) {
 	mon := workload.NewMonitor()
+	queries, err := windowQueries(w, mon)
+	if err != nil {
+		return "", err
+	}
+	return t.cycle(mon, queries)
+}
+
+// windowQueries maps a sealed window's statements to their normalized
+// queries (first-appearance order) with counts and statement IDs, feeding
+// each statement to mon as well when mon is non-nil.
+func windowQueries(w []Record, mon *workload.Monitor) ([]audit.WindowQuery, error) {
 	var queries []audit.WindowQuery
 	index := map[string]int{} // normalized query -> queries slot
 	for i := range w {
@@ -79,10 +109,12 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 		// here means the collector was fed garbage.
 		stmt, err := sqlparser.Parse(rec.SQL)
 		if err != nil {
-			return "", fmt.Errorf("server: window record: %v", err)
+			return nil, fmt.Errorf("server: window record: %v", err)
 		}
-		if err := mon.RecordStmt(stmt, rec.Stats); err != nil {
-			return "", fmt.Errorf("server: window record: %v", err)
+		if mon != nil {
+			if err := mon.RecordStmt(stmt, rec.Stats); err != nil {
+				return nil, fmt.Errorf("server: window record: %v", err)
+			}
 		}
 		norm, _ := sqlparser.Normalize(stmt)
 		slot, ok := index[norm]
@@ -101,22 +133,22 @@ func (t *Tuner) CycleWindow(w []Record) (string, error) {
 			q.Statements = append(q.Statements, id)
 		}
 	}
-	return t.cycle(mon, queries)
+	return queries, nil
 }
 
 // Cycle runs one tuning cycle over an observed window and returns a short
 // rendered verdict line. The error path is reserved for invariant
 // violations (an ungated adoption); operational failures degrade to "no
-// change this cycle" exactly like the batch loop.
+// change this cycle".
 func (t *Tuner) Cycle(mon *workload.Monitor) (string, error) {
 	return t.cycle(mon, nil)
 }
 
-// cycle is the locked cycle body. windowQueries, when non-nil, is journaled
+// cycle is the locked cycle body. queries, when non-empty, is journaled
 // as an EventWindow record before any decision record of this cycle — under
 // the cycle lock, so the journal's window → candidate → shadow → adopt
 // ordering is deterministic.
-func (t *Tuner) cycle(mon *workload.Monitor, windowQueries []audit.WindowQuery) (string, error) {
+func (t *Tuner) cycle(mon *workload.Monitor, queries []audit.WindowQuery) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cycle := t.Cycles
@@ -124,11 +156,13 @@ func (t *Tuner) cycle(mon *workload.Monitor, windowQueries []audit.WindowQuery) 
 	if t.tuneCycles != nil {
 		t.tuneCycles.Inc()
 	}
-	if len(windowQueries) > 0 {
+	stab := t.Stability()
+	stab.BeginWindow()
+	if len(queries) > 0 {
 		t.DB.AuditJournal().Append(&audit.Record{
 			Event:   audit.EventWindow,
 			Cycle:   int64(cycle),
-			Queries: windowQueries,
+			Queries: queries,
 		})
 	}
 
@@ -139,6 +173,9 @@ func (t *Tuner) cycle(mon *workload.Monitor, windowQueries []audit.WindowQuery) 
 		return "", fmt.Errorf("server: recommend: %v", err)
 	}
 
+	// Candidates inside their revert cooldown are not re-proposed this
+	// cycle: an index the tuner just reverted must wait the cooldown out, or
+	// a borderline workload flips it adopt/revert forever.
 	create := rec.Create
 	if t.Detector != nil {
 		kept := make([]*catalog.Index, 0, len(create))
@@ -171,39 +208,58 @@ func (t *Tuner) cycle(mon *workload.Monitor, windowQueries []audit.WindowQuery) 
 		}
 		verdict = fmt.Sprintf("%s[%s]", report.Verdict(), report.Code)
 		if report.Accepted {
+			// Only the validated creations are applied; unused indexes leave
+			// through the retirement below, so nothing changes the physical
+			// design without a gate verdict or a journaled revert reason.
 			t.lock()
 			_, err := t.Adv.Apply(&core.Recommendation{Create: create})
 			t.unlock()
 			if err != nil {
+				// CreateIndexes rolled the batch back; a later cycle
+				// re-validates.
 				t.ApplyFailures++
 				verdict += " apply_failed"
 			} else {
 				t.Adoptions++
-				verdict += " adopted=" + strings.Join(indexKeys(create), ",")
+				keys := indexKeys(create)
+				stab.NoteAdopted(keys...)
+				verdict += " adopted=" + strings.Join(keys, ",")
 			}
 		}
 	}
 
-	reverted := 0
 	if t.Detector != nil {
+		reverted := t.revert(t.Detector.RetireUnused(rec.Drop))
 		t.rlock()
 		regs := t.Detector.Observe(t.DB, mon)
+		if t.Detector.MaintenanceGuard {
+			regs = append(regs, t.Detector.ObserveMaintenance(t.DB, mon)...)
+		}
 		t.runlock()
-		if len(regs) > 0 {
-			t.lock()
-			keys := t.Detector.Revert(t.DB, regs)
-			t.unlock()
-			reverted = len(keys)
-			t.Reverted += reverted
-			if reverted > 0 {
-				verdict += " reverted=" + strings.Join(keys, ",")
-			}
+		reverted = append(reverted, t.revert(regs)...)
+		if len(reverted) > 0 {
+			verdict += " reverted=" + strings.Join(reverted, ",")
 		}
 	}
 
 	line := fmt.Sprintf("cycle %d: stmts=%d queries=%d %s", cycle, statementCount(mon), mon.Len(), verdict)
 	t.verdicts = append(t.verdicts, line)
 	return line, nil
+}
+
+// revert drops the regressions' suspects under the write side of the
+// statement gate (taken only when there is something to drop), records the
+// reverts, and returns the dropped keys.
+func (t *Tuner) revert(regs []*regression.Regression) []string {
+	if len(regs) == 0 {
+		return nil
+	}
+	t.lock()
+	keys := t.Detector.Revert(t.DB, regs)
+	t.unlock()
+	t.Reverted += len(keys)
+	t.stab.NoteReverted(keys...)
+	return keys
 }
 
 // Verdicts returns the rendered per-cycle verdict lines so far.
