@@ -58,9 +58,10 @@ metricssmoke:
 telemetrysmoke:
 	AIM_TELEMETRY_SMOKE=1 $(GO) test -run TestTelemetrySmoke -v ./internal/telemetry/
 
-# Short budgeted runs of every native fuzz target: the bulk-load/merge/DNF
-# equivalence properties and the failpoint spec parser. Go allows one -fuzz
-# pattern per invocation, hence one line per target.
+# Short budgeted runs of every native fuzz target: the bulk-load, COW
+# snapshot, merge and DNF equivalence properties, the failpoint spec parser,
+# scenario determinism, the exec scan and join oracles and the wire decoder.
+# Go allows one -fuzz pattern per invocation, hence one line per target.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBulkLoadEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -run '^$$' -fuzz 'FuzzCOWSnapshotEquivalence$$' -fuzztime $(FUZZTIME) ./internal/btree/
@@ -69,6 +70,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFailpointSpec$$' -fuzztime $(FUZZTIME) ./internal/failpoint/
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioDeterminism$$' -fuzztime $(FUZZTIME) ./internal/scenarios/
 	$(GO) test -run '^$$' -fuzz 'FuzzExecScanOracle$$' -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -run '^$$' -fuzz 'FuzzExecJoinOracle$$' -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -run '^$$' -fuzz 'FuzzWireFrame$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # The fault-injection acceptance sweep: 1000 tuning cycles at fault rates
@@ -129,14 +131,17 @@ benchstoragesmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreClone$$|BenchmarkBuildIndex$$' -benchtime 1x ./internal/storage/
 
 # Replay/serving executor benchmark: row engine vs vectorized batch engine on
-# a 100k-row products workload, with a statement-level parity gate before any
-# timing. Writes BENCH_exec.json at the repo root and fails under 2x speedup.
-# Wall-clock sensitive, so the report run is env-gated.
+# a 100k-row products workload, and nested loops vs hash probes on the JOB
+# deck over a database with no secondary index, with a statement-level parity
+# gate before any timing. Writes BENCH_exec.json at the repo root and fails
+# under 2x speedup on either. Wall-clock sensitive, so the report run is
+# env-gated.
 benchexec:
 	AIM_BENCH_EXEC=1 $(GO) test -run TestBenchExecReport -v ./internal/experiments/
 
-# Scaled-down exec benchmark (2k rows, 8+2 statements) — runs the full
-# parity-gate + measure pipeline in a few seconds for `make check`.
+# Scaled-down exec benchmark (2k rows, 8+2 statements, the JOB deck at 1%
+# scale) — runs the full parity-gate + measure pipeline in a few seconds for
+# `make check`.
 benchexecsmoke:
 	$(GO) test -run TestExecBenchSmoke -v ./internal/experiments/
 

@@ -355,11 +355,13 @@ func runExecBench(fast bool) error {
 	fmt.Fprintln(w, "replay set\tengine\tns/op\titerations")
 	fmt.Fprintf(w, "single-table (%d stmts)\trow\t%d\t%d\n", res.Statements, res.RowEngine.NsPerOp, res.RowEngine.Iterations)
 	fmt.Fprintf(w, "single-table (%d stmts)\tvectorized\t%d\t%d\n", res.Statements, res.VecEngine.NsPerOp, res.VecEngine.Iterations)
-	fmt.Fprintf(w, "join fallback (%d stmts)\trow\t%d\t%d\n", res.JoinStatements, res.JoinRowEngine.NsPerOp, res.JoinRowEngine.Iterations)
-	fmt.Fprintf(w, "join fallback (%d stmts)\tvectorized\t%d\t%d\n", res.JoinStatements, res.JoinVecEngine.NsPerOp, res.JoinVecEngine.Iterations)
+	fmt.Fprintf(w, "indexed joins (%d stmts)\trow\t%d\t%d\n", res.JoinStatements, res.JoinRowEngine.NsPerOp, res.JoinRowEngine.Iterations)
+	fmt.Fprintf(w, "indexed joins (%d stmts)\tvectorized\t%d\t%d\n", res.JoinStatements, res.JoinVecEngine.NsPerOp, res.JoinVecEngine.Iterations)
+	fmt.Fprintf(w, "cold JOB joins (%d stmts)\trow\t%d\t%d\n", res.ColdJoinStatements, res.ColdJoinRowEngine.NsPerOp, res.ColdJoinRowEngine.Iterations)
+	fmt.Fprintf(w, "cold JOB joins (%d stmts)\tvectorized\t%d\t%d\n", res.ColdJoinStatements, res.ColdJoinVecEngine.NsPerOp, res.ColdJoinVecEngine.Iterations)
 	w.Flush()
-	fmt.Printf("\nreplay speedup: %.2fx (%d rows); join fallback: %.2fx\n",
-		res.Speedup(), res.Rows, res.JoinSpeedup())
+	fmt.Printf("\nreplay speedup: %.2fx (%d rows); indexed joins: %.2fx; cold JOB joins: %.2fx\n",
+		res.Speedup(), res.Rows, res.JoinSpeedup(), res.ColdJoinSpeedup())
 	return nil
 }
 

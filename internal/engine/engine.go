@@ -81,8 +81,9 @@ func (db *DB) ObsRegistry() *obs.Registry { return db.obs }
 func (db *DB) SetAudit(j *audit.Journal) { db.audit = j }
 
 // SetRowOnlyExec forces (true) or lifts (false) tuple-at-a-time execution.
-// The default is the vectorized batch engine for eligible plans; differential
-// tests and benchmarks pin the row loop to compare the two engines. Clones
+// The default is the vectorized batch engine for eligible plans and hash
+// probes for unindexed join inners; differential tests and benchmarks pin
+// the row loop's plain nested loops to compare the two engines. Clones
 // inherit the setting (see cloneFrom). Call before concurrent use.
 func (db *DB) SetRowOnlyExec(rowOnly bool) { db.executor.RowOnly = rowOnly }
 

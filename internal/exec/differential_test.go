@@ -39,19 +39,58 @@ func renderResult(res *Result) string {
 	return b.String()
 }
 
+// engineOnlyCounters are the exec.* counters that name the physical strategy
+// (batches, hash tables) rather than the priced plan's work. Every other
+// counter must agree between the engines.
+var engineOnlyCounters = map[string]bool{
+	"exec.batch_statements": true,
+	"exec.batches":          true,
+	"exec.hash_builds":      true,
+	"exec.hash_probes":      true,
+}
+
+// renderCounters serializes every counter of the snapshot except the
+// engine-only ones, sorted by name.
+func renderCounters(snap *obs.Snapshot) string {
+	var names []string
+	for name := range snap.Counters {
+		if !engineOnlyCounters[name] {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s=%d\n", name, snap.Counters[name])
+	}
+	return b.String()
+}
+
 // runBothEngines executes the plan on the row engine and the batch engine,
 // each with observability on and off, and requires all four results to be
 // byte-identical. It returns the batch-engine result.
 func runBothEngines(t testing.TB, store *storage.Store, p *Plan) *Result {
 	t.Helper()
-	var want string
+	res, _ := runEngines(t, store, p)
+	return res
+}
+
+// runEngines is runBothEngines that also requires the exec.* counters of the
+// two observed runs to agree (engine-only counters aside), and returns the
+// default engine's counter snapshot.
+func runEngines(t testing.TB, store *storage.Store, p *Plan) (*Result, *obs.Snapshot) {
+	t.Helper()
+	var want, wantCounters string
 	var out *Result
+	var snap *obs.Snapshot
 	for _, rowOnly := range []bool{true, false} {
 		for _, withObs := range []bool{false, true} {
 			ex := New(store)
 			ex.RowOnly = rowOnly
+			var reg *obs.Registry
 			if withObs {
-				ex.SetObs(obs.NewRegistry())
+				reg = obs.NewRegistry()
+				ex.SetObs(reg)
 			}
 			res, err := ex.Run(p, nil)
 			if err != nil {
@@ -65,9 +104,19 @@ func runBothEngines(t testing.TB, store *storage.Store, p *Plan) *Result {
 					rowOnly, withObs, want, got)
 			}
 			out = res
+			if withObs {
+				snap = reg.Snapshot()
+				counters := renderCounters(snap)
+				if wantCounters == "" {
+					wantCounters = counters
+				} else if counters != wantCounters {
+					t.Fatalf("exec counter divergence\n--- row engine ---\n%s--- default engine ---\n%s",
+						wantCounters, counters)
+				}
+			}
 		}
 	}
-	return out
+	return out, snap
 }
 
 // vecOutputs builds direct-copy output specs (the batch projector fast path).
@@ -90,10 +139,12 @@ func vecOutputs(t testing.TB, l *Layout, refs ...string) []OutputSpec {
 
 // TestEngineDifferential pins the determinism contract of the vectorized
 // engine: for every supported plan shape, Result rows and Stats counters are
-// byte-identical to the row engine's, with observability on or off. Cases
-// cover both the vectorized predicate kernels (FilterSrc set, vectorizable)
-// and the per-row closure fallback (no source expression, or a shape the
-// batch compiler rejects).
+// byte-identical to the row engine's, with observability on or off, and so
+// are the exec.* counters other than the engine-only ones. Cases cover the
+// vectorized predicate kernels (FilterSrc set, vectorizable), the per-row
+// closure fallback (no source expression, or a shape the batch compiler
+// rejects) and unindexed joins, which the default engine serves from hash
+// probes where their filter allows.
 func TestEngineDifferential(t *testing.T) {
 	store, schema := fixture(t)
 	l := singleLayout(schema, "orders")
@@ -256,6 +307,13 @@ func TestEngineDifferential(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			runBothEngines(t, store, tc.plan)
 		})
+	}
+
+	// Unindexed joins: the row engine's nested loop against the default
+	// engine's hash probes, including the shapes that must not hash.
+	jstore, jschema := joinFixture(t)
+	for _, tc := range joinDifferentialCases(t, jschema) {
+		t.Run("join-"+tc.name, func(t *testing.T) { checkHashed(t, jstore, tc) })
 	}
 }
 

@@ -44,7 +44,7 @@ func (e *Executor) CollectPKs(p *Plan) ([][]byte, Stats, error) {
 	var pks [][]byte
 	env := make([]sqltypes.Value, p.Layout.Width)
 	pkVals := make([]sqltypes.Value, len(inst.Table.PrimaryKey))
-	err := e.runSteps(p, 0, env, &st, func() error {
+	err := e.runSteps(p, env, &st, func() error {
 		for i, o := range inst.Table.PrimaryKey {
 			pkVals[i] = env[inst.Base+o]
 		}

@@ -16,10 +16,10 @@ var errStop = errors.New("exec: early stop")
 // Executor runs physical plans against a store.
 type Executor struct {
 	Store *storage.Store
-	// RowOnly disables the vectorized batch engine, forcing every plan
-	// through the tuple-at-a-time row loop. The zero value (vectorized
-	// execution on) is the production configuration; differential tests and
-	// benchmarks flip it to pin the two engines against each other.
+	// RowOnly disables the vectorized batch engine and hash probes, forcing
+	// every plan through the tuple-at-a-time row loop with plain nested
+	// loops. The zero value is the production configuration; differential
+	// tests and benchmarks flip it to pin the two engines against each other.
 	RowOnly bool
 	m       *execMetrics // nil when observability is off
 	// arenas recycles batch scratch buffers (row views, selection vectors,
@@ -51,7 +51,8 @@ func (e *Executor) Run(p *Plan, columns []string) (*Result, error) {
 
 	// The batch engine covers single-step pipelines without an early-stop
 	// target. Join pipelines stay on the row loop (batching doesn't pay for
-	// the inner steps of an index nested-loop join), and early-stop plans
+	// the inner steps of an index nested-loop join; unindexed inners get
+	// hash probes there instead), and early-stop plans
 	// must stop mid-scan at exactly the row the row loop would, which batch
 	// reads cannot do without breaking Stats parity.
 	if !e.RowOnly && rowTarget < 0 && len(p.Steps) == 1 {
@@ -77,7 +78,7 @@ func (e *Executor) Run(p *Plan, columns []string) (*Result, error) {
 
 	if p.Grouped {
 		agg := newAggregator(p)
-		err := e.runSteps(p, 0, env, &res.Stats, func() error { return agg.absorb(env) })
+		err := e.runSteps(p, env, &res.Stats, func() error { return agg.absorb(env) })
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +87,7 @@ func (e *Executor) Run(p *Plan, columns []string) (*Result, error) {
 			return nil, err
 		}
 	} else {
-		if err := e.runSteps(p, 0, env, &res.Stats, emitEnvRow); err != nil && err != errStop {
+		if err := e.runSteps(p, env, &res.Stats, emitEnvRow); err != nil && err != errStop {
 			return nil, err
 		}
 	}
@@ -117,15 +118,39 @@ func (e *Executor) finish(p *Plan, outRows []sqltypes.Row, res *Result) (*Result
 	return res, nil
 }
 
+// pipeline is one Run's left-deep nested-loop join: the plan, the shared env
+// row buffer, the Stats it charges, the per-row callback, and the lazily
+// built hash tables of unindexed inner steps (hashprobe.go). It lives for one
+// Run only, so concurrent statements sharing an Executor or a cached Plan
+// never share join state.
+type pipeline struct {
+	e     *Executor
+	p     *Plan
+	env   []sqltypes.Value
+	st    *Stats
+	onRow func() error
+	// hash holds one slot per step, allocated on the first probe of an
+	// unindexed inner step on the default engine; nil otherwise.
+	hash []hashSlot
+}
+
 // runSteps drives the left-deep nested-loop pipeline. onRow is invoked once
 // per fully joined env row.
-func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats, onRow func() error) error {
+func (e *Executor) runSteps(p *Plan, env []sqltypes.Value, st *Stats, onRow func() error) error {
+	r := &pipeline{e: e, p: p, env: env, st: st, onRow: onRow}
+	return r.run(0)
+}
+
+// run executes step depth for the current env row, recursing into the next
+// step for every row it accepts.
+func (r *pipeline) run(depth int) error {
+	p, env := r.p, r.env
 	if depth == len(p.Steps) {
-		return onRow()
+		return r.onRow()
 	}
 	step := &p.Steps[depth]
 	inst := p.Layout.Instances[step.Instance]
-	tbl := e.Store.Table(inst.Table.Name)
+	tbl := r.e.Store.Table(inst.Table.Name)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q not materialized", inst.Table.Name)
 	}
@@ -161,9 +186,9 @@ func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats,
 			lo, hi, hiInc, _ := scanBounds(full, nil, env) // non-null prefix: never empty
 			var err error
 			if step.IndexName == "" {
-				err = e.scanClustered(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
+				err = r.scanClustered(depth, step, tbl, lo, hi, hiInc)
 			} else {
-				err = e.scanIndex(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
+				err = r.scanIndex(depth, step, tbl, lo, hi, hiInc)
 			}
 			if err != nil {
 				return err
@@ -171,14 +196,17 @@ func (e *Executor) runSteps(p *Plan, depth int, env []sqltypes.Value, st *Stats,
 		}
 		return nil
 	}
+	if h := r.hashFor(depth, step, tbl); h != nil {
+		return r.probeHash(depth, step, tbl, h)
+	}
 	lo, hi, hiInc, empty := scanBounds(prefix, step.Range, env)
 	if empty {
 		return nil
 	}
 	if step.IndexName == "" {
-		return e.scanClustered(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
+		return r.scanClustered(depth, step, tbl, lo, hi, hiInc)
 	}
-	return e.scanIndex(p, depth, step, tbl, env, lo, hi, hiInc, st, onRow)
+	return r.scanIndex(depth, step, tbl, lo, hi, hiInc)
 }
 
 // scanBounds builds encoded byte bounds from the equality prefix and the
@@ -227,9 +255,10 @@ func scanBounds(prefix []sqltypes.Value, rng *RangeSpec, env []sqltypes.Value) (
 	return lo, hi, hiInc, false
 }
 
-func (e *Executor) scanClustered(p *Plan, depth int, step *Step, tbl *storage.Table, env []sqltypes.Value, lo, hi []byte, hiInc bool, st *Stats, onRow func() error) error {
-	base := p.Layout.Instances[step.Instance].Base
-	ncols := len(p.Layout.Instances[step.Instance].Table.Columns)
+func (r *pipeline) scanClustered(depth int, step *Step, tbl *storage.Table, lo, hi []byte, hiInc bool) error {
+	e, env, st := r.e, r.env, r.st
+	base := r.p.Layout.Instances[step.Instance].Base
+	ncols := len(r.p.Layout.Instances[step.Instance].Table.Columns)
 	if e.m != nil {
 		e.m.clusteredScans.Inc()
 	}
@@ -248,7 +277,7 @@ func (e *Executor) scanClustered(p *Plan, depth int, step *Step, tbl *storage.Ta
 		if !ok {
 			continue
 		}
-		if err := e.runSteps(p, depth+1, env, st, onRow); err != nil {
+		if err := r.run(depth + 1); err != nil {
 			return err
 		}
 	}
@@ -260,12 +289,13 @@ func (e *Executor) scanClustered(p *Plan, depth int, step *Step, tbl *storage.Ta
 	return nil
 }
 
-func (e *Executor) scanIndex(p *Plan, depth int, step *Step, tbl *storage.Table, env []sqltypes.Value, lo, hi []byte, hiInc bool, st *Stats, onRow func() error) error {
+func (r *pipeline) scanIndex(depth int, step *Step, tbl *storage.Table, lo, hi []byte, hiInc bool) error {
+	e, env, st := r.e, r.env, r.st
 	ix := tbl.Index(step.IndexName)
 	if ix == nil {
 		return fmt.Errorf("exec: index %q not materialized on %s", step.IndexName, tbl.Def.Name)
 	}
-	inst := p.Layout.Instances[step.Instance]
+	inst := r.p.Layout.Instances[step.Instance]
 	base := inst.Base
 	ncols := len(inst.Table.Columns)
 	keyCols := len(ix.Ordinals()) + len(tbl.Def.PrimaryKey)
@@ -323,7 +353,7 @@ func (e *Executor) scanIndex(p *Plan, depth int, step *Step, tbl *storage.Table,
 		if !ok {
 			continue
 		}
-		if err := e.runSteps(p, depth+1, env, st, onRow); err != nil {
+		if err := r.run(depth + 1); err != nil {
 			return err
 		}
 	}

@@ -17,6 +17,8 @@ type execMetrics struct {
 	indexOnlyScans *obs.Counter // covering (index-only) scan operators run
 	clusteredRows  *obs.Counter // rows examined by clustered scans
 	indexRows      *obs.Counter // entries examined by index scans (both kinds)
+	hashBuilds     *obs.Counter // hash tables built for unindexed join inners
+	hashProbes     *obs.Counter // clustered scans served from such a table
 
 	rowsRead    *obs.Counter
 	rowsSent    *obs.Counter
@@ -44,6 +46,8 @@ func (e *Executor) SetObs(r *obs.Registry) {
 		indexOnlyScans:  r.Counter("exec.index_only_scans"),
 		clusteredRows:   r.Counter("exec.clustered_rows"),
 		indexRows:       r.Counter("exec.index_rows"),
+		hashBuilds:      r.Counter("exec.hash_builds"),
+		hashProbes:      r.Counter("exec.hash_probes"),
 		rowsRead:        r.Counter("exec.rows_read"),
 		rowsSent:        r.Counter("exec.rows_sent"),
 		pageReads:       r.Counter("exec.page_reads"),

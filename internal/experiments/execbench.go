@@ -10,15 +10,21 @@ import (
 	"aim/internal/engine"
 	"aim/internal/sqlparser"
 	"aim/internal/sqltypes"
+	"aim/internal/workloads/job"
 	"aim/internal/workloads/products"
 )
 
 // ExecBenchOptions parameterizes the replay/serving hot-path benchmark: a
 // products-style database at Rows total rows, its DBA index set applied, and
 // a fixed set of sampled read statements replayed through both execution
-// engines. Join statements are measured separately — the batch engine
-// deliberately routes join pipelines to the row loop, so they gauge fallback
-// overhead, not vectorization gain.
+// engines. Join statements are measured separately: the batch engine routes
+// join pipelines to the row loop, so with the DBA indexes in place they
+// gauge the indexed join path, not vectorization gain. A
+// third set replays the 48-statement JOB deck (12 templates x 4 parameter
+// seeds) on a JOB database with no secondary index, sized Rows/200_000 (the
+// 0.5 scale of the aimd job_join benchmark at the default 100k rows): the
+// cold, untuned state AIM starts from, where unindexed join inners are
+// served by hash probes.
 type ExecBenchOptions struct {
 	Rows           int   // total rows across all tables (default 100_000)
 	Tables         int   // table count (default 2)
@@ -44,10 +50,14 @@ type ExecBenchResult struct {
 	Statements     int
 	JoinStatements int
 
-	RowEngine     ExecBenchEntry // single-table replay, tuple-at-a-time
-	VecEngine     ExecBenchEntry // single-table replay, vectorized batches
-	JoinRowEngine ExecBenchEntry
-	JoinVecEngine ExecBenchEntry
+	ColdJoinStatements int
+
+	RowEngine         ExecBenchEntry // single-table replay, tuple-at-a-time
+	VecEngine         ExecBenchEntry // single-table replay, vectorized batches
+	JoinRowEngine     ExecBenchEntry
+	JoinVecEngine     ExecBenchEntry
+	ColdJoinRowEngine ExecBenchEntry // JOB cold deck, nested loops
+	ColdJoinVecEngine ExecBenchEntry // JOB cold deck, default engine (hash probes)
 }
 
 // Speedup is row-engine ns over batch-engine ns for the single-table replay
@@ -56,13 +66,23 @@ func (r *ExecBenchResult) Speedup() float64 {
 	return float64(r.RowEngine.NsPerOp) / float64(r.VecEngine.NsPerOp)
 }
 
-// JoinSpeedup is the same ratio for join statements; expected ~1.0 since
-// both engines run join pipelines on the row loop.
+// JoinSpeedup is the same ratio for the indexed join statements. Both
+// engines run them on the row loop, so it sits near 1.0.
 func (r *ExecBenchResult) JoinSpeedup() float64 {
-	if r.JoinVecEngine.NsPerOp == 0 {
+	return ratio(r.JoinRowEngine, r.JoinVecEngine)
+}
+
+// ColdJoinSpeedup is the ratio for the JOB cold deck: the nested loop's
+// full inner scans against the default engine's hash probes.
+func (r *ExecBenchResult) ColdJoinSpeedup() float64 {
+	return ratio(r.ColdJoinRowEngine, r.ColdJoinVecEngine)
+}
+
+func ratio(row, vec ExecBenchEntry) float64 {
+	if vec.NsPerOp == 0 {
 		return 1
 	}
-	return float64(r.JoinRowEngine.NsPerOp) / float64(r.JoinVecEngine.NsPerOp)
+	return float64(row.NsPerOp) / float64(vec.NsPerOp)
 }
 
 // execBenchSink defeats dead-code elimination across replay iterations.
@@ -123,6 +143,21 @@ func RunExecBench(opts ExecBenchOptions) (*ExecBenchResult, error) {
 		return nil, fmt.Errorf("execbench: sampled only %d/%d single-table statements", len(reads), opts.Statements)
 	}
 
+	jobDB, err := job.Build(float64(opts.Rows)/200_000, 1)
+	if err != nil {
+		return nil, err
+	}
+	var cold []sqlparser.Statement
+	for seed := int64(0); seed < 4; seed++ {
+		for _, sql := range job.Queries(seed) {
+			stmt, err := sqlparser.Parse(sql)
+			if err != nil {
+				return nil, fmt.Errorf("execbench: JOB statement %q: %v", sql, err)
+			}
+			cold = append(cold, stmt)
+		}
+	}
+
 	// Determinism gate before timing anything: every replayed statement must
 	// produce byte-identical rows and Stats on both engines.
 	for _, stmt := range append(append([]sqlparser.Statement(nil), reads...), joins...) {
@@ -130,18 +165,24 @@ func RunExecBench(opts ExecBenchOptions) (*ExecBenchResult, error) {
 			return nil, err
 		}
 	}
+	for _, stmt := range cold {
+		if err := checkEngineParity(jobDB, stmt); err != nil {
+			return nil, err
+		}
+	}
 
 	res := &ExecBenchResult{Rows: opts.Tables * spec.RowsPerTable,
-		Statements: len(reads), JoinStatements: len(joins)}
-	measure := func(stmts []sqlparser.Statement, rowOnly bool) (ExecBenchEntry, error) {
+		Statements: len(reads), JoinStatements: len(joins), ColdJoinStatements: len(cold)}
+	measure := func(db *engine.DB, stmts []sqlparser.Statement, rowOnly bool) (ExecBenchEntry, error) {
 		if len(stmts) == 0 {
 			return ExecBenchEntry{}, nil
 		}
-		p.DB.SetRowOnlyExec(rowOnly)
+		db.SetRowOnlyExec(rowOnly)
+		defer db.SetRowOnlyExec(false)
 		var benchErr error
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := p.DB.ExecStmt(stmts[i%len(stmts)])
+				out, err := db.ExecStmt(stmts[i%len(stmts)])
 				if err != nil {
 					benchErr = err
 					b.FailNow()
@@ -154,19 +195,23 @@ func RunExecBench(opts ExecBenchOptions) (*ExecBenchResult, error) {
 		}
 		return ExecBenchEntry{NsPerOp: br.NsPerOp(), Iterations: br.N}, nil
 	}
-	if res.RowEngine, err = measure(reads, true); err != nil {
-		return nil, err
+	for _, m := range []struct {
+		entry   *ExecBenchEntry
+		db      *engine.DB
+		stmts   []sqlparser.Statement
+		rowOnly bool
+	}{
+		{&res.RowEngine, p.DB, reads, true},
+		{&res.VecEngine, p.DB, reads, false},
+		{&res.JoinRowEngine, p.DB, joins, true},
+		{&res.JoinVecEngine, p.DB, joins, false},
+		{&res.ColdJoinRowEngine, jobDB, cold, true},
+		{&res.ColdJoinVecEngine, jobDB, cold, false},
+	} {
+		if *m.entry, err = measure(m.db, m.stmts, m.rowOnly); err != nil {
+			return nil, err
+		}
 	}
-	if res.VecEngine, err = measure(reads, false); err != nil {
-		return nil, err
-	}
-	if res.JoinRowEngine, err = measure(joins, true); err != nil {
-		return nil, err
-	}
-	if res.JoinVecEngine, err = measure(joins, false); err != nil {
-		return nil, err
-	}
-	p.DB.SetRowOnlyExec(false)
 	return res, nil
 }
 

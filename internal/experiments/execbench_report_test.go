@@ -38,16 +38,23 @@ func TestBenchExecReport(t *testing.T) {
 			"ReplayVecEngine":     res.VecEngine,
 			"ReplayJoinRowEngine": res.JoinRowEngine,
 			"ReplayJoinVecEngine": res.JoinVecEngine,
+			"ColdJoinRowEngine":   res.ColdJoinRowEngine,
+			"ColdJoinVecEngine":   res.ColdJoinVecEngine,
 		},
 		Speedup: map[string]float64{
-			"replay":      res.Speedup(),
-			"join_replay": res.JoinSpeedup(),
+			"replay":           res.Speedup(),
+			"join_replay":      res.JoinSpeedup(),
+			"cold_join_replay": res.ColdJoinSpeedup(),
 		},
 	}
-	t.Logf("replay speedup: %.2fx over %d statements (%d rows); join fallback: %.2fx over %d statements",
-		res.Speedup(), res.Statements, res.Rows, res.JoinSpeedup(), res.JoinStatements)
+	t.Logf("replay speedup: %.2fx over %d statements (%d rows); indexed joins: %.2fx over %d statements; cold JOB joins: %.2fx over %d statements",
+		res.Speedup(), res.Statements, res.Rows, res.JoinSpeedup(), res.JoinStatements,
+		res.ColdJoinSpeedup(), res.ColdJoinStatements)
 	if sp := res.Speedup(); sp < 2 {
 		t.Errorf("vectorized replay only %.2fx over the row engine, want >= 2x", sp)
+	}
+	if sp := res.ColdJoinSpeedup(); sp < 2 {
+		t.Errorf("cold JOB join replay only %.2fx over the nested loop, want >= 2x", sp)
 	}
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -56,8 +63,8 @@ func TestBenchExecReport(t *testing.T) {
 	if err := os.WriteFile("../../BENCH_exec.json", append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, join fallback %.2fx\n",
-		res.Speedup(), res.JoinSpeedup())
+	fmt.Printf("wrote BENCH_exec.json: replay %.2fx, indexed joins %.2fx, cold JOB joins %.2fx\n",
+		res.Speedup(), res.JoinSpeedup(), res.ColdJoinSpeedup())
 }
 
 // TestExecBenchSmoke runs a miniature configuration on every plain test run:
@@ -71,7 +78,11 @@ func TestExecBenchSmoke(t *testing.T) {
 	if res.Statements != 8 {
 		t.Fatalf("replay set has %d statements, want 8", res.Statements)
 	}
-	if res.VecEngine.NsPerOp <= 0 || res.RowEngine.NsPerOp <= 0 {
+	if res.VecEngine.NsPerOp <= 0 || res.RowEngine.NsPerOp <= 0 ||
+		res.ColdJoinVecEngine.NsPerOp <= 0 || res.ColdJoinRowEngine.NsPerOp <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)
+	}
+	if res.ColdJoinStatements != 48 {
+		t.Fatalf("cold JOB deck has %d statements, want 48", res.ColdJoinStatements)
 	}
 }
