@@ -38,9 +38,12 @@ race:
 
 # One iteration of each advisor benchmark as a smoke test — exercises the
 # full pipeline (candidates, cache, parallel costing) without the cost of a
-# real benchmarking run. '^$$' skips unit tests; only benchmarks execute.
+# real benchmarking run — and of the JOB-deck planning benchmark, whose
+# allocation gate (TestPlanJOBDeckAllocs) runs with the unit tests. '^$$'
+# skips unit tests; only benchmarks execute.
 benchsmoke:
 	$(GO) test -run '^$$' -bench BenchmarkAdvisor -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkPlanJOBDeck -benchtime 1x ./internal/workloads/job/
 
 # Observability + failpoint + audit overhead gate: a fully instrumented
 # advisor run must stay within 5% of an uninstrumented one, an advisor run

@@ -157,6 +157,9 @@ type Schema struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index // by lower-cased index name
+	// byName holds the indexes sorted by name. Index changes rebuild it, so
+	// Indexes — read on every plan — copies instead of sorting.
+	byName []*Index
 }
 
 // NewSchema returns an empty schema.
@@ -222,6 +225,7 @@ func (s *Schema) AddIndex(ix *Index) error {
 		return fmt.Errorf("catalog: index %q already exists", ix.Name)
 	}
 	s.indexes[key] = ix
+	s.sortIndexes()
 	return nil
 }
 
@@ -234,7 +238,17 @@ func (s *Schema) DropIndex(name string) bool {
 		return false
 	}
 	delete(s.indexes, key)
+	s.sortIndexes()
 	return true
+}
+
+// sortIndexes rebuilds byName; the caller holds the write lock.
+func (s *Schema) sortIndexes() {
+	s.byName = make([]*Index, 0, len(s.indexes))
+	for _, ix := range s.indexes {
+		s.byName = append(s.byName, ix)
+	}
+	sort.Slice(s.byName, func(i, j int) bool { return s.byName[i].Name < s.byName[j].Name })
 }
 
 // Index returns the named index, or nil.
@@ -247,12 +261,9 @@ func (s *Schema) Index(name string) *Index {
 // Indexes returns all index definitions sorted by name.
 func (s *Schema) Indexes() []*Index {
 	s.mu.RLock()
-	out := make([]*Index, 0, len(s.indexes))
-	for _, ix := range s.indexes {
-		out = append(out, ix)
-	}
+	out := make([]*Index, len(s.byName))
+	copy(out, s.byName)
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -295,5 +306,6 @@ func (s *Schema) Clone() *Schema {
 		cp.Columns = append([]string(nil), ix.Columns...)
 		out.indexes[k] = &cp
 	}
+	out.sortIndexes()
 	return out
 }

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"aim/internal/catalog"
@@ -40,127 +40,213 @@ type accessPath struct {
 
 // Desc renders the access path for EXPLAIN-style output.
 func (ap *accessPath) Desc(table string) string {
+	eq := strconv.Itoa(len(ap.eq))
 	switch {
 	case ap.index == nil && len(ap.eq) == 0 && ap.rng == nil && ap.inAtom == nil:
-		return fmt.Sprintf("%s: full scan", table)
+		return table + ": full scan"
 	case ap.index == nil:
-		return fmt.Sprintf("%s: PK range (eq=%d)", table, len(ap.eq))
+		return table + ": PK range (eq=" + eq + ")"
 	default:
 		kind := "ref"
 		if ap.rng != nil || ap.inAtom != nil {
 			kind = "range"
 		}
+		covering, icp := "", ""
 		if ap.covering {
-			kind += ",covering"
+			covering = ",covering"
 		}
 		if len(ap.icp) > 0 {
-			kind += ",icp"
+			icp = ",icp"
 		}
-		return fmt.Sprintf("%s: index %s (%s) eq=%d", table, ap.index.Name, kind, len(ap.eq))
+		return table + ": index " + ap.index.Name + " (" + kind + covering + icp + ") eq=" + eq
 	}
 }
 
 // instanceContext gathers everything needed to enumerate access paths for
-// one table instance.
+// one table instance. It is built once per planning call, so everything that
+// depends only on the instance — statistics, selectivities, the table's
+// indexes and their key columns — is derived once rather than on every join
+// search transition.
 type instanceContext struct {
-	info  *queryinfo.Info
-	inst  int
-	table *catalog.Table
-	// eqAtoms, inAtoms, rangeAtoms index single-table atoms by column.
-	eqAtoms    map[string]*queryinfo.Atom
-	inAtoms    map[string]*queryinfo.Atom
-	rangeAtoms map[string]*queryinfo.Atom
-	allAtoms   []*queryinfo.Atom
-	// opaqueSel multiplies in non-atom single-instance conjunct defaults.
-	opaqueSel float64
-	// referenced columns of this instance (for covering checks).
-	referenced []string
+	// atoms are the instance's single-table filter atoms, in analysis order.
+	atoms []*queryinfo.Atom
+
+	ts      *stats.TableStats
+	rows    float64   // table row count, at least 1
+	atomSel []float64 // atomSelectivity of each atom
+	// outSel is the selectivity of all single-table predicates: the atoms
+	// and a default for each opaque single-instance conjunct.
+	outSel float64
+	// pk is the clustered primary key as a keyed access; indexes are the
+	// table's indexes in the configuration, in configuration order.
+	pk      tableIndex
+	indexes []tableIndex
+	// edges are the join edges touching the instance, in info.JoinEdges
+	// order; neighbors has bit i set when one of them leads to instance i
+	// (instances 0-63; wider queries are not memoized).
+	edges     []instEdge
+	neighbors uint64
 }
 
-func newInstanceContext(info *queryinfo.Info, inst int) *instanceContext {
+// instEdge is a join edge seen from one of its instances.
+type instEdge struct {
+	pos   int    // position in info.JoinEdges
+	other int    // the instance on the other side
+	col   string // this instance's column
+}
+
+// tableIndex is one keyed access to a table — a secondary index, or the
+// primary key when ix is nil — with the invariants one planning call needs.
+type tableIndex struct {
+	ix       *catalog.Index
+	key      []string // key columns as declared
+	keyLower []string // key columns lower-cased
+	// covering: key plus primary-key columns hold every referenced column.
+	covering bool
+}
+
+// bindKind is how a filter atom can bind an index key column.
+type bindKind int
+
+const (
+	bindNone bindKind = iota
+	bindEq
+	bindIn
+	bindRange
+)
+
+func bindKindOf(op queryinfo.AtomOp) bindKind {
+	switch op {
+	case queryinfo.OpEq, queryinfo.OpNullSafeEq, queryinfo.OpIsNull:
+		return bindEq
+	case queryinfo.OpIn:
+		return bindIn
+	case queryinfo.OpRange, queryinfo.OpLikePrefix:
+		return bindRange
+	}
+	return bindNone
+}
+
+func (o *Optimizer) newInstanceContext(info *queryinfo.Info, inst int, cfg *indexForTable) *instanceContext {
+	table := info.Layout.Instances[inst].Table
 	c := &instanceContext{
-		info:       info,
-		inst:       inst,
-		table:      info.Layout.Instances[inst].Table,
-		eqAtoms:    map[string]*queryinfo.Atom{},
-		inAtoms:    map[string]*queryinfo.Atom{},
-		rangeAtoms: map[string]*queryinfo.Atom{},
-		opaqueSel:  1,
-		referenced: info.Referenced[inst],
+		atoms: info.FilterAtoms[inst],
+		ts:    o.Stats.TableStats(table.Name),
+		rows:  1,
 	}
-	for _, a := range info.FilterAtoms[inst] {
-		c.allAtoms = append(c.allAtoms, a)
-		switch a.Op {
-		case queryinfo.OpEq, queryinfo.OpNullSafeEq, queryinfo.OpIsNull:
-			c.eqAtoms[a.Column] = a
-		case queryinfo.OpIn:
-			c.inAtoms[a.Column] = a
-		case queryinfo.OpRange, queryinfo.OpLikePrefix:
-			// Keep the more selective-looking bound when duplicated.
-			if _, dup := c.rangeAtoms[a.Column]; !dup {
-				c.rangeAtoms[a.Column] = a
-			}
-		}
+	if c.ts != nil && c.ts.RowCount > 0 {
+		c.rows = float64(c.ts.RowCount)
 	}
+	c.outSel = 1
 	for _, cj := range info.Conjuncts {
 		if len(cj.Instances) == 1 && cj.Instances[0] == inst && cj.Atom != nil && cj.Atom.Op == queryinfo.OpOther {
-			c.opaqueSel *= defaultConjunctSel
+			c.outSel *= defaultConjunctSel
+		}
+	}
+	c.atomSel = make([]float64, len(c.atoms))
+	for i, a := range c.atoms {
+		c.atomSel[i] = atomSelectivity(a, c.ts)
+		c.outSel *= c.atomSel[i]
+	}
+
+	pk := table.PrimaryKeyNames()
+	c.pk = tableIndex{key: pk, keyLower: lowerAll(pk), covering: true}
+	n := 0
+	for _, ix := range cfg.list {
+		if strings.EqualFold(ix.Table, table.Name) {
+			n++
+		}
+	}
+	c.indexes = make([]tableIndex, 0, n)
+	for _, ix := range cfg.list {
+		if !strings.EqualFold(ix.Table, table.Name) {
+			continue
+		}
+		ti := tableIndex{ix: ix, key: ix.Columns, keyLower: lowerAll(ix.Columns), covering: true}
+		for _, col := range info.Referenced[inst] {
+			if !c.inKeyOrPK(&ti, strings.ToLower(col)) {
+				ti.covering = false
+				break
+			}
+		}
+		c.indexes = append(c.indexes, ti)
+	}
+
+	for i, e := range info.JoinEdges {
+		other, col, _, ok := e.Other(inst)
+		if !ok {
+			continue
+		}
+		c.edges = append(c.edges, instEdge{pos: i, other: other, col: col})
+		if other < 64 {
+			c.neighbors |= 1 << uint(other)
 		}
 	}
 	return c
 }
 
-// enumeratePaths builds every sensible access path for the instance, given
-// the set of placed instances (for join-edge equality bindings) and the
-// candidate index configuration.
-func (o *Optimizer) enumeratePaths(ctx *instanceContext, placed map[int]bool, indexes []*catalog.Index) []*accessPath {
-	ts := o.Stats.TableStats(ctx.table.Name)
-	rows := float64(1)
-	if ts != nil && ts.RowCount > 0 {
-		rows = float64(ts.RowCount)
+// atomOn returns the position in atoms of the filter atom binding col in
+// the given way, or -1. Of several equality or IN atoms on one column the
+// last is used; of several range atoms the first, not the most selective.
+func (c *instanceContext) atomOn(col string, kind bindKind) int {
+	found := -1
+	for i, a := range c.atoms {
+		if a.Column != col || bindKindOf(a.Op) != kind {
+			continue
+		}
+		if kind == bindRange {
+			return i
+		}
+		found = i
 	}
+	return found
+}
 
-	// Selectivity of all single-table predicates on this instance.
-	outSel := ctx.opaqueSel
-	for _, a := range ctx.allAtoms {
-		outSel *= atomSelectivity(a, ts)
-	}
+// inKeyOrPK reports whether the lower-cased column is in the index key or
+// the primary key, i.e. readable from an index entry.
+func (c *instanceContext) inKeyOrPK(ti *tableIndex, col string) bool {
+	return containsString(ti.keyLower, col) || containsString(c.pk.keyLower, col)
+}
 
-	// Join-edge eq sources per column.
-	joinEq := map[string]*queryinfo.JoinEdge{}
-	for i := range ctx.info.JoinEdges {
-		e := &ctx.info.JoinEdges[i]
-		other, thisCol, _, ok := e.Other(ctx.inst)
-		if ok && placed[other] {
-			joinEq[thisCol] = e
+// joinEdgeOn returns the position in info.JoinEdges of the edge that binds
+// col of the instance to an instance in placed (the last such edge), or -1.
+func (c *instanceContext) joinEdgeOn(col string, placed instSet) int {
+	for i := len(c.edges) - 1; i >= 0; i-- {
+		if e := &c.edges[i]; e.col == col && placed.has(e.other) {
+			return e.pos
 		}
 	}
+	return -1
+}
 
-	var paths []*accessPath
+// enumeratePaths builds every sensible access path for the instance, given
+// the set of placed instances (for join-edge equality bindings): the full
+// clustered scan, the primary-key prefix, then each of the table's indexes
+// in configuration order.
+func (s *search) enumeratePaths(ctx *instanceContext, placed instSet, buf []*accessPath) []*accessPath {
+	paths := buf
 
 	// Full clustered scan is always available.
-	full := &accessPath{
-		indexKey:  ctx.table.PrimaryKeyNames(),
+	full := s.newPath()
+	*full = accessPath{
+		indexKey:  ctx.pk.key,
 		entrySel:  1,
 		lookupSel: 0,
-		outSel:    outSel,
+		outSel:    ctx.outSel,
 		covering:  true, // the clustered tree has every column
-		probeCost: rows*costRow + scanPages(rows)*costPage,
-		outRows:   rows * outSel,
+		probeCost: ctx.rows*costRow + scanPages(ctx.rows)*costPage,
+		outRows:   ctx.rows * ctx.outSel,
 	}
 	paths = append(paths, full)
 
 	// PK-prefix access (eq/range on leading primary key columns).
-	if p := o.buildKeyedPath(ctx, nil, ctx.table.PrimaryKeyNames(), joinEq, ts, rows, outSel); p != nil {
+	if p := s.buildKeyedPath(ctx, &ctx.pk, placed); p != nil {
 		paths = append(paths, p)
 	}
 
 	// Secondary indexes.
-	for _, ix := range indexes {
-		if !strings.EqualFold(ix.Table, ctx.table.Name) {
-			continue
-		}
-		if p := o.buildKeyedPath(ctx, ix, ix.Columns, joinEq, ts, rows, outSel); p != nil {
+	for i := range ctx.indexes {
+		if p := s.buildKeyedPath(ctx, &ctx.indexes[i], placed); p != nil {
 			paths = append(paths, p)
 		}
 	}
@@ -171,72 +257,76 @@ func (o *Optimizer) enumeratePaths(ctx *instanceContext, placed map[int]bool, in
 // the resulting scan. It returns nil when the index is unusable (no leading
 // binding) — except that an unbound secondary index can still be useful for
 // covering or ordered reads, which the caller handles via fullIndexPath.
-func (o *Optimizer) buildKeyedPath(ctx *instanceContext, ix *catalog.Index, keyCols []string, joinEq map[string]*queryinfo.JoinEdge, ts *stats.TableStats, rows, outSel float64) *accessPath {
-	p := &accessPath{index: ix, indexKey: keyCols}
+func (s *search) buildKeyedPath(ctx *instanceContext, ti *tableIndex, placed instSet) *accessPath {
+	var eqBuf [8]eqSource
+	eq := eqBuf[:0]
+	var inAtom, rng *queryinfo.Atom
 	entrySel := 1.0
 	pos := 0
-	for ; pos < len(keyCols); pos++ {
-		col := strings.ToLower(keyCols[pos])
-		if a, ok := ctx.eqAtoms[col]; ok {
-			p.eq = append(p.eq, eqSource{atom: a})
-			entrySel *= atomSelectivity(a, ts)
+	for ; pos < len(ti.keyLower); pos++ {
+		col := ti.keyLower[pos]
+		if a := ctx.atomOn(col, bindEq); a >= 0 {
+			eq = append(eq, eqSource{atom: ctx.atoms[a]})
+			entrySel *= ctx.atomSel[a]
 			continue
 		}
-		if e, ok := joinEq[col]; ok {
-			p.eq = append(p.eq, eqSource{join: e})
-			entrySel *= joinEdgeSelectivity(*e, ctx.info, o.Stats)
+		if e := ctx.joinEdgeOn(col, placed); e >= 0 {
+			eq = append(eq, eqSource{join: &s.info.JoinEdges[e]})
+			entrySel *= s.edgeSel[e]
 			continue
 		}
 		break
 	}
-	if pos < len(keyCols) {
-		col := strings.ToLower(keyCols[pos])
-		if a, ok := ctx.inAtoms[col]; ok {
-			p.inAtom = a
-			entrySel *= atomSelectivity(a, ts)
-		} else if a, ok := ctx.rangeAtoms[col]; ok {
-			p.rng = a
-			entrySel *= atomSelectivity(a, ts)
+	if pos < len(ti.keyLower) {
+		col := ti.keyLower[pos]
+		if a := ctx.atomOn(col, bindIn); a >= 0 {
+			inAtom = ctx.atoms[a]
+			entrySel *= ctx.atomSel[a]
+		} else if a := ctx.atomOn(col, bindRange); a >= 0 {
+			rng = ctx.atoms[a]
+			entrySel *= ctx.atomSel[a]
 		}
 	}
-	if len(p.eq) == 0 && p.inAtom == nil && p.rng == nil {
+	if len(eq) == 0 && inAtom == nil && rng == nil {
 		return nil // no binding; the plain full-scan path already covers this
 	}
-	o.finishPath(ctx, p, ts, rows, entrySel, outSel)
+	p := s.newPath()
+	*p = accessPath{index: ti.ix, indexKey: ti.key, inAtom: inAtom, rng: rng}
+	if len(eq) > 0 {
+		p.eq = append([]eqSource(nil), eq...)
+	}
+	finishPath(ctx, p, ti, entrySel)
 	return p
 }
 
 // fullIndexPath builds an unbounded scan over a secondary index, useful only
 // for covering or ordered reads. The caller decides when to consider it.
-func (o *Optimizer) fullIndexPath(ctx *instanceContext, ix *catalog.Index, ts *stats.TableStats, rows, outSel float64) *accessPath {
-	p := &accessPath{index: ix, indexKey: ix.Columns}
-	o.finishPath(ctx, p, ts, rows, 1.0, outSel)
+func fullIndexPath(ctx *instanceContext, ti *tableIndex) *accessPath {
+	p := &accessPath{index: ti.ix, indexKey: ti.key}
+	finishPath(ctx, p, ti, 1.0)
 	return p
 }
 
 // finishPath computes covering/ICP and the probe cost.
-func (o *Optimizer) finishPath(ctx *instanceContext, p *accessPath, ts *stats.TableStats, rows, entrySel, outSel float64) {
+func finishPath(ctx *instanceContext, p *accessPath, ti *tableIndex, entrySel float64) {
+	rows := ctx.rows
 	p.entrySel = entrySel
-	p.outSel = outSel
-	p.outRows = rows * outSel
+	p.outSel = ctx.outSel
+	p.outRows = rows * ctx.outSel
 
 	if p.index != nil {
-		p.covering = p.index.Covers(ctx.table, ctx.referenced)
+		p.covering = ti.covering
 		// ICP: atoms over index key + PK columns reduce PK lookups.
-		avail := p.index.ColumnSet()
-		for _, pk := range ctx.table.PrimaryKeyNames() {
-			avail[strings.ToLower(pk)] = true
-		}
 		lookupSel := entrySel
-		for _, a := range ctx.allAtoms {
-			if !avail[a.Column] {
+		for i, a := range ctx.atoms {
+			if !ctx.inKeyOrPK(ti, a.Column) {
 				continue
 			}
 			if usedInBinding(p, a) {
 				continue
 			}
 			p.icp = append(p.icp, a)
-			lookupSel *= atomSelectivity(a, ts)
+			lookupSel *= ctx.atomSel[i]
 		}
 		p.lookupSel = lookupSel
 	} else {
@@ -260,6 +350,32 @@ func (o *Optimizer) finishPath(ctx *instanceContext, p *accessPath, ts *stats.Ta
 		cost += lookups * (height*costPage + costRow)
 	}
 	p.probeCost = cost
+}
+
+// lowerAll returns the names lower-cased, sharing the slice when every name
+// already is.
+func lowerAll(names []string) []string {
+	for i, n := range names {
+		if strings.ToLower(n) == n {
+			continue
+		}
+		out := make([]string, len(names))
+		copy(out, names[:i])
+		for j := i; j < len(names); j++ {
+			out[j] = strings.ToLower(names[j])
+		}
+		return out
+	}
+	return names
+}
+
+func containsString(list []string, s string) bool {
+	for _, x := range list {
+		if x == s {
+			return true
+		}
+	}
+	return false
 }
 
 func usedInBinding(p *accessPath, a *queryinfo.Atom) bool {

@@ -67,9 +67,9 @@ func (o *Optimizer) buildExecPlan(sel *sqlparser.Select, p *planned) (*exec.Plan
 		return nil, nil, err
 	}
 
-	var desc []string
-	for pos, inst := range p.join.order {
-		desc = append(desc, p.join.paths[pos].Desc(layout.Instances[inst].Alias))
+	desc := make([]string, len(plan.Steps))
+	for i := range plan.Steps {
+		desc[i] = plan.Steps[i].Desc
 	}
 	return plan, desc, nil
 }

@@ -20,25 +20,119 @@ type joinResult struct {
 // larger joins fall back to a greedy ordering.
 const dpLimit = 8
 
-// searchJoinOrder picks a join order and access paths. indexes is the
-// available index configuration (materialized plus hypothetical for what-if
-// calls). When straight is true the FROM order is kept as written.
-func (o *Optimizer) searchJoinOrder(info *queryinfo.Info, ctxs []*instanceContext, indexes *indexForTable, straight bool) *joinResult {
-	n := len(ctxs)
-	o.mJoinTables.Observe(float64(n))
-	if straight || n == 1 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
+// search is the state of one planning call: the per-instance contexts, the
+// selectivity of each join edge and the memo of picked access paths. It is
+// built by planSelectMode and dropped when that call returns; nothing in it
+// is shared across statements or goroutines, so the memo needs neither a
+// lock nor invalidation.
+type search struct {
+	o       *Optimizer
+	info    *queryinfo.Info
+	ctxs    []*instanceContext
+	edgeSel []float64 // joinEdgeSelectivity of each info.JoinEdges entry
+	// memo holds the cheapest access path per (instance, placed join
+	// neighbours); nil for single-table queries and for queries of more
+	// than 64 instances.
+	memo map[pathKey]*accessPath
+	// paths is the candidate list pathFor reuses across enumerations; only
+	// the pick outlives one enumeration.
+	paths []*accessPath
+	// slab backs the access paths the search creates, so a plan costs a few
+	// allocations for them rather than one per candidate. A chunk holds one
+	// enumeration of every instance.
+	slab  []accessPath
+	chunk int
+}
+
+// pathKey identifies one access-path choice: an instance and which of its
+// join neighbours are already placed.
+type pathKey struct {
+	inst   int
+	placed uint64
+}
+
+// instSet is a set of table instances, one bit per instance ordinal.
+type instSet []uint64
+
+func newInstSet(n int) instSet { return make(instSet, (n+63)/64) }
+
+func (s instSet) has(i int) bool {
+	w := i >> 6
+	return w < len(s) && s[w]&(1<<(uint(i)&63)) != 0
+}
+
+func (s instSet) add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+func (o *Optimizer) newSearch(info *queryinfo.Info, cfg *indexForTable) *search {
+	s := &search{
+		o:       o,
+		info:    info,
+		ctxs:    make([]*instanceContext, len(info.Layout.Instances)),
+		edgeSel: make([]float64, len(info.JoinEdges)),
+	}
+	for i := range s.ctxs {
+		s.ctxs[i] = o.newInstanceContext(info, i, cfg)
+		s.chunk += 2 + len(s.ctxs[i].indexes)
+	}
+	for i, e := range info.JoinEdges {
+		s.edgeSel[i] = joinEdgeSelectivity(e, info, o.Stats)
+	}
+	if n := len(s.ctxs); n > 1 && n <= 64 {
+		s.memo = map[pathKey]*accessPath{}
+	}
+	return s
+}
+
+// newPath returns a zeroed access path carved from the slab. A path lives
+// as long as the plan that picked it, which keeps its slab chunk alive.
+func (s *search) newPath() *accessPath {
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]accessPath, 0, s.chunk)
+	}
+	s.slab = s.slab[:len(s.slab)+1]
+	return &s.slab[len(s.slab)-1]
+}
+
+// pathFor returns the cheapest access path for inst once the instances in
+// placed are joined. An instance's paths depend on placed only through the
+// join edges whose other side is placed, so the pick is memoized per
+// (inst, placed ∩ neighbours of inst): an exact key, which lets every
+// transition of the join search that reaches the same binding share one
+// enumeration.
+func (s *search) pathFor(inst int, placed instSet) *accessPath {
+	var k pathKey
+	if s.memo != nil {
+		var word uint64
+		if len(placed) > 0 {
+			word = placed[0]
 		}
-		return o.costOrder(info, ctxs, indexes, order)
+		k = pathKey{inst: inst, placed: word & s.ctxs[inst].neighbors}
+		if p, ok := s.memo[k]; ok {
+			return p
+		}
+	}
+	s.paths = s.enumeratePaths(s.ctxs[inst], placed, s.paths[:0])
+	p := bestPath(s.paths)
+	if s.memo != nil {
+		s.memo[k] = p
+	}
+	return p
+}
+
+// searchJoinOrder picks a join order and access paths. When straight is
+// true the FROM order is kept as written.
+func (s *search) searchJoinOrder(straight bool) *joinResult {
+	n := len(s.ctxs)
+	s.o.mJoinTables.Observe(float64(n))
+	if straight || n == 1 {
+		return s.costOrder(fromOrder(n))
 	}
 	if n <= dpLimit {
-		o.mJoinDP.Inc()
-		return o.searchDP(info, ctxs, indexes)
+		s.o.mJoinDP.Inc()
+		return s.searchDP()
 	}
-	o.mJoinGreedy.Inc()
-	return o.searchGreedy(info, ctxs, indexes)
+	s.o.mJoinGreedy.Inc()
+	return s.searchGreedy()
 }
 
 // indexForTable is the index configuration visible to one planning search:
@@ -47,39 +141,41 @@ type indexForTable struct {
 	list []*catalog.Index
 }
 
-// forInstance returns the candidate indexes for an instance; filtering by
-// table happens inside enumeratePaths.
-func (c *indexForTable) forInstance(int) []*catalog.Index { return c.list }
+func fromOrder(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
 
 // costOrder evaluates one fixed order.
-func (o *Optimizer) costOrder(info *queryinfo.Info, ctxs []*instanceContext, idx *indexForTable, order []int) *joinResult {
-	res := &joinResult{order: order}
-	placed := map[int]bool{}
+func (s *search) costOrder(order []int) *joinResult {
+	res := &joinResult{order: order, paths: make([]*accessPath, 0, len(order))}
+	placed := newInstSet(len(s.ctxs))
 	outer := 1.0
-	for step, inst := range order {
-		paths := o.enumeratePaths(ctxs[inst], placed, idx.forInstance(inst))
-		best := o.pickPath(paths, outer)
+	for _, inst := range order {
+		best := s.pathFor(inst, placed)
 		res.paths = append(res.paths, best)
 		res.cost += outer * best.probeCost
-		outer = o.joinedRows(info, ctxs, placed, inst, outer, best)
-		placed[inst] = true
-		_ = step
+		outer = s.joinedRows(placed, inst, outer, best)
+		placed.add(inst)
 	}
 	res.rows = outer
 	return res
 }
 
 // joinedRows propagates cardinality after joining inst into the placed set.
-func (o *Optimizer) joinedRows(info *queryinfo.Info, ctxs []*instanceContext, placed map[int]bool, inst int, outer float64, path *accessPath) float64 {
+func (s *search) joinedRows(placed instSet, inst int, outer float64, path *accessPath) float64 {
 	rows := outer * path.outRows
-	for _, e := range info.JoinEdges {
-		other, _, _, ok := e.Other(inst)
-		if ok && placed[other] {
-			rows *= joinEdgeSelectivity(e, info, o.Stats)
+	for i := range s.info.JoinEdges {
+		other, _, _, ok := s.info.JoinEdges[i].Other(inst)
+		if ok && placed.has(other) {
+			rows *= s.edgeSel[i]
 		}
 	}
 	// Opaque multi-instance conjuncts that become evaluable now.
-	for _, cj := range info.Conjuncts {
+	for _, cj := range s.info.Conjuncts {
 		if cj.Join != nil || cj.Atom != nil || len(cj.Instances) < 2 {
 			continue
 		}
@@ -88,7 +184,7 @@ func (o *Optimizer) joinedRows(info *queryinfo.Info, ctxs []*instanceContext, pl
 		for _, i := range cj.Instances {
 			if i == inst {
 				appliesNow = true
-			} else if !placed[i] {
+			} else if !placed.has(i) {
 				allPlaced = false
 			}
 		}
@@ -102,98 +198,89 @@ func (o *Optimizer) joinedRows(info *queryinfo.Info, ctxs []*instanceContext, pl
 	return rows
 }
 
-// pickPath selects the cheapest path for the given number of outer probes.
-// Probe count does not change the relative order of path costs in this
-// model, but keeping the parameter makes the intent explicit.
-func (o *Optimizer) pickPath(paths []*accessPath, outer float64) *accessPath {
-	return bestPath(paths)
-}
-
 // searchDP runs Selinger-style dynamic programming over instance subsets.
-func (o *Optimizer) searchDP(info *queryinfo.Info, ctxs []*instanceContext, idx *indexForTable) *joinResult {
-	n := len(ctxs)
+// Each subset keeps only its best left-deep plan: the cost, the output rows
+// and the last step; the rest of the order is the best plan of the subset
+// without that step, which is final by then (subsets complete in size
+// order), so the order is rebuilt from the last steps at the end.
+func (s *search) searchDP() *joinResult {
+	n := len(s.ctxs)
 	type state struct {
-		cost  float64
-		rows  float64
-		order []int
-		paths []*accessPath
+		ok   bool
+		cost float64
+		rows float64
+		inst int // the instance joined last
+		path *accessPath
 	}
-	states := make([]*state, 1<<n)
+	states := make([]state, 1<<n)
 
-	neighbors := info.JoinNeighbors()
-	connectedTo := func(mask int, inst int) bool {
-		for other := range neighbors[inst] {
-			if mask&(1<<other) != 0 {
-				return true
-			}
-		}
-		return false
+	neighbors := make([]int, n)
+	for i, ctx := range s.ctxs {
+		neighbors[i] = int(ctx.neighbors)
 	}
+	placed := instSet{0}
 
 	for size := 1; size <= n; size++ {
 		for mask := 1; mask < 1<<n; mask++ {
 			if popcount(mask) != size {
 				continue
 			}
-			var best *state
+			best := &states[mask]
 			for inst := 0; inst < n; inst++ {
 				if mask&(1<<inst) == 0 {
 					continue
 				}
 				rest := mask &^ (1 << inst)
-				var prev *state
-				if rest == 0 {
-					prev = &state{cost: 0, rows: 1}
-				} else {
-					prev = states[rest]
-					if prev == nil {
+				prevCost, prevRows := 0.0, 1.0
+				if rest != 0 {
+					prev := &states[rest]
+					if !prev.ok {
 						continue
 					}
-					// Prefer connected expansions: skip cartesian products
-					// unless the remainder has no join edge to inst and no
-					// other instance does either (handled by fallback pass).
-					if !connectedTo(rest, inst) && anyConnected(rest, mask, neighbors) {
+					// Prefer connected expansions: a cartesian step (no
+					// edge from inst into rest) is admitted only when no
+					// instance of mask outside rest has an edge into rest
+					// either (anyConnected).
+					if neighbors[inst]&rest == 0 && anyConnected(rest, mask, neighbors) {
 						continue
 					}
+					prevCost, prevRows = prev.cost, prev.rows
 				}
-				placed := maskSet(rest)
-				paths := o.enumeratePaths(ctxs[inst], placed, idx.forInstance(inst))
-				ap := o.pickPath(paths, prev.rows)
-				cost := prev.cost + prev.rows*ap.probeCost
-				if best != nil && cost >= best.cost {
+				placed[0] = uint64(rest)
+				ap := s.pathFor(inst, placed)
+				cost := prevCost + prevRows*ap.probeCost
+				if best.ok && cost >= best.cost {
 					continue
 				}
-				rows := o.joinedRows(info, ctxs, placed, inst, prev.rows, ap)
-				order := append(append([]int(nil), prev.order...), inst)
-				pp := append(append([]*accessPath(nil), prev.paths...), ap)
-				best = &state{cost: cost, rows: rows, order: order, paths: pp}
+				rows := s.joinedRows(placed, inst, prevRows, ap)
+				*best = state{ok: true, cost: cost, rows: rows, inst: inst, path: ap}
 			}
-			states[mask] = best
 		}
 	}
-	final := states[1<<n-1]
-	if final == nil {
+	full := 1<<n - 1
+	final := states[full]
+	if !final.ok {
 		// Shouldn't happen, but fall back to FROM order.
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return o.costOrder(info, ctxs, idx, order)
+		return s.costOrder(fromOrder(n))
 	}
-	return &joinResult{order: final.order, paths: final.paths, cost: final.cost, rows: final.rows}
+	res := &joinResult{order: make([]int, n), paths: make([]*accessPath, n), cost: final.cost, rows: final.rows}
+	for mask, pos := full, n-1; mask != 0; pos-- {
+		st := &states[mask]
+		res.order[pos], res.paths[pos] = st.inst, st.path
+		mask &^= 1 << st.inst
+	}
+	return res
 }
 
 // anyConnected reports whether any instance outside rest (but inside mask)
 // has a join edge into rest — i.e. a connected expansion exists.
-func anyConnected(rest, mask int, neighbors []map[int]bool) bool {
-	for inst := range neighbors {
+func anyConnected(rest, mask int, neighbors []int) bool {
+	for inst, nb := range neighbors {
 		if mask&(1<<inst) == 0 || rest&(1<<inst) != 0 {
 			continue
 		}
-		for other := range neighbors[inst] {
-			if rest&(1<<other) != 0 {
-				return true
-			}
+		if nb&rest != 0 {
+			return true
 		}
 	}
 	return false
@@ -208,36 +295,24 @@ func popcount(x int) int {
 	return n
 }
 
-func maskSet(mask int) map[int]bool {
-	s := map[int]bool{}
-	for i := 0; mask != 0; i++ {
-		if mask&1 != 0 {
-			s[i] = true
-		}
-		mask >>= 1
-	}
-	return s
-}
-
 // searchGreedy orders tables by repeatedly appending the cheapest next step.
-func (o *Optimizer) searchGreedy(info *queryinfo.Info, ctxs []*instanceContext, idx *indexForTable) *joinResult {
-	n := len(ctxs)
+func (s *search) searchGreedy() *joinResult {
+	n := len(s.ctxs)
 	res := &joinResult{}
-	placed := map[int]bool{}
+	placed := newInstSet(n)
 	outer := 1.0
 	for len(res.order) < n {
 		bestCost := math.Inf(1)
 		bestInst := -1
 		var bestAP *accessPath
 		for inst := 0; inst < n; inst++ {
-			if placed[inst] {
+			if placed.has(inst) {
 				continue
 			}
-			paths := o.enumeratePaths(ctxs[inst], placed, idx.forInstance(inst))
-			ap := o.pickPath(paths, outer)
+			ap := s.pathFor(inst, placed)
 			// Prefer connected expansions by penalizing cartesian steps.
 			penalty := 1.0
-			if len(res.order) > 0 && !hasEdgeToPlaced(info, inst, placed) {
+			if len(res.order) > 0 && !s.hasEdgeToPlaced(inst, placed) {
 				penalty = 1e6
 			}
 			c := outer * ap.probeCost * penalty
@@ -248,8 +323,8 @@ func (o *Optimizer) searchGreedy(info *queryinfo.Info, ctxs []*instanceContext, 
 			}
 		}
 		res.cost += outer * bestAP.probeCost
-		outer = o.joinedRows(info, ctxs, placed, bestInst, outer, bestAP)
-		placed[bestInst] = true
+		outer = s.joinedRows(placed, bestInst, outer, bestAP)
+		placed.add(bestInst)
 		res.order = append(res.order, bestInst)
 		res.paths = append(res.paths, bestAP)
 	}
@@ -257,10 +332,10 @@ func (o *Optimizer) searchGreedy(info *queryinfo.Info, ctxs []*instanceContext, 
 	return res
 }
 
-func hasEdgeToPlaced(info *queryinfo.Info, inst int, placed map[int]bool) bool {
-	for _, e := range info.JoinEdges {
-		other, _, _, ok := e.Other(inst)
-		if ok && placed[other] {
+func (s *search) hasEdgeToPlaced(inst int, placed instSet) bool {
+	for i := range s.info.JoinEdges {
+		other, _, _, ok := s.info.JoinEdges[i].Other(inst)
+		if ok && placed.has(other) {
 			return true
 		}
 	}

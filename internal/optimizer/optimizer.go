@@ -93,30 +93,33 @@ func (e *Estimate) UsedIndexKeys() []string {
 	return out
 }
 
-func (o *Optimizer) indexConfig(extra []*catalog.Index) *indexForTable {
-	return o.indexConfigMode(extra, false)
-}
-
 // indexConfigMode assembles the visible index configuration. With replace
 // set, only the extra indexes are visible — the schema's materialized
 // indexes are hidden, which is how advisors cost cost(q, ∅) and arbitrary
-// candidate configurations.
+// candidate configurations. Extras whose key is already visible are
+// dropped; without extras no key is built.
 func (o *Optimizer) indexConfigMode(extra []*catalog.Index, replace bool) *indexForTable {
-	cfg := &indexForTable{}
-	seen := map[string]bool{}
+	var schema []*catalog.Index
 	if !replace {
-		for _, ix := range o.Schema.Indexes() {
-			if ix.Hypothetical {
-				continue
-			}
+		schema = o.Schema.Indexes()
+	}
+	cfg := &indexForTable{list: make([]*catalog.Index, 0, len(schema)+len(extra))}
+	for _, ix := range schema {
+		if !ix.Hypothetical {
 			cfg.list = append(cfg.list, ix)
-			seen[ix.Key()] = true
 		}
 	}
+	if len(extra) == 0 {
+		return cfg
+	}
+	seen := make(map[string]bool, len(cfg.list)+len(extra))
+	for _, ix := range cfg.list {
+		seen[ix.Key()] = true
+	}
 	for _, ix := range extra {
-		if !seen[ix.Key()] {
+		if k := ix.Key(); !seen[k] {
 			cfg.list = append(cfg.list, ix)
-			seen[ix.Key()] = true
+			seen[k] = true
 		}
 	}
 	return cfg
@@ -147,19 +150,15 @@ func (o *Optimizer) planSelectMode(sel *sqlparser.Select, extra []*catalog.Index
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.indexConfigMode(extra, replace)
-	ctxs := make([]*instanceContext, len(info.Layout.Instances))
-	for i := range ctxs {
-		ctxs[i] = newInstanceContext(info, i)
-	}
+	s := o.newSearch(info, o.indexConfigMode(extra, replace))
 
 	grouped := len(sel.GroupBy) > 0 || len(info.Aggregates) > 0
 
-	if len(ctxs) == 1 {
-		return o.planSingleTable(sel, info, ctxs[0], cfg, grouped), nil
+	if len(s.ctxs) == 1 {
+		return s.planSingleTable(sel, grouped), nil
 	}
 
-	jr := o.searchJoinOrder(info, ctxs, cfg, sel.StraightJoin)
+	jr := s.searchJoinOrder(sel.StraightJoin)
 	p := &planned{info: info, join: jr, cost: jr.cost, rows: jr.rows}
 	o.addPostJoinCosts(sel, info, p, grouped)
 	return p, nil
@@ -167,25 +166,13 @@ func (o *Optimizer) planSelectMode(sel *sqlparser.Select, extra []*catalog.Index
 
 // planSingleTable considers every access path with full query-shape costing
 // (sort avoidance, stream grouping, LIMIT early termination).
-func (o *Optimizer) planSingleTable(sel *sqlparser.Select, info *queryinfo.Info, ctx *instanceContext, cfg *indexForTable, grouped bool) *planned {
-	ts := o.Stats.TableStats(ctx.table.Name)
-	rows := float64(1)
-	if ts != nil && ts.RowCount > 0 {
-		rows = float64(ts.RowCount)
-	}
-	outSel := ctx.opaqueSel
-	for _, a := range ctx.allAtoms {
-		outSel *= atomSelectivity(a, ts)
-	}
-
-	paths := o.enumeratePaths(ctx, map[int]bool{}, cfg.forInstance(0))
+func (s *search) planSingleTable(sel *sqlparser.Select, grouped bool) *planned {
+	o, info, ctx := s.o, s.info, s.ctxs[0]
+	paths := s.enumeratePaths(ctx, nil, nil)
 	// Also consider unbounded secondary-index scans: they can satisfy
 	// ordering/grouping or serve covering reads.
-	for _, ix := range cfg.forInstance(0) {
-		if !strings.EqualFold(ix.Table, ctx.table.Name) {
-			continue
-		}
-		paths = append(paths, o.fullIndexPath(ctx, ix, ts, rows, outSel))
+	for i := range ctx.indexes {
+		paths = append(paths, fullIndexPath(ctx, &ctx.indexes[i]))
 	}
 
 	var best *planned
@@ -374,10 +361,8 @@ func groupOrderedBy(ap *accessPath, info *queryinfo.Info) bool {
 // eqBoundSet returns the columns bound by equality in the path's prefix.
 func eqBoundSet(ap *accessPath) map[string]bool {
 	out := map[string]bool{}
-	for i, e := range ap.eq {
-		col := strings.ToLower(ap.indexKey[i])
-		_ = e
-		out[col] = true
+	for i := range ap.eq {
+		out[strings.ToLower(ap.indexKey[i])] = true
 	}
 	return out
 }

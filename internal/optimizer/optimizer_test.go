@@ -220,8 +220,8 @@ func TestOrderSatisfactionLogic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := newInstanceContext(info, 0)
-		paths := o.enumeratePaths(ctx, map[int]bool{}, schema.Indexes())
+		s := o.newSearch(info, o.indexConfigMode(nil, false))
+		paths := s.enumeratePaths(s.ctxs[0], nil, nil)
 		var ixPath *accessPath
 		for _, p := range paths {
 			if p.index != nil && p.index.Name == "ix_abc" {
@@ -260,8 +260,8 @@ func TestGroupOrderingLogic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := newInstanceContext(info, 0)
-		paths := o.enumeratePaths(ctx, map[int]bool{}, schema.Indexes())
+		s := o.newSearch(info, o.indexConfigMode(nil, false))
+		paths := s.enumeratePaths(s.ctxs[0], nil, nil)
 		var ixPath *accessPath
 		for _, p := range paths {
 			if p.index != nil {
@@ -269,8 +269,7 @@ func TestGroupOrderingLogic(t *testing.T) {
 			}
 		}
 		if ixPath == nil {
-			ts := sp.TableStats("big")
-			ixPath = o.fullIndexPath(ctx, schema.Index("ix_abc"), ts, float64(ts.RowCount), 1)
+			ixPath = fullIndexPath(s.ctxs[0], &s.ctxs[0].indexes[0])
 		}
 		if got := groupOrderedBy(ixPath, info); got != c.want {
 			t.Errorf("%s: ordered = %v, want %v", c.sql, got, c.want)
@@ -430,5 +429,63 @@ func TestEmptyTableEstimates(t *testing.T) {
 	est = estimate(t, o, "SELECT b.id FROM big b JOIN small s ON b.fk = s.id")
 	if est.Cost < 0 {
 		t.Fatal("negative join cost")
+	}
+}
+
+// TestPathMemoExact plans joins with and without the access-path memo. The
+// memo key (instance, placed ∩ neighbours) must never change a pick, so the
+// join order, every chosen path and every estimate match to the bit — for
+// the DP search, the greedy search beyond dpLimit and STRAIGHT_JOIN.
+func TestPathMemoExact(t *testing.T) {
+	schema, sp := testSetup(t)
+	for _, ix := range []*catalog.Index{
+		{Name: "big_fk", Table: "big", Columns: []string{"fk"}},
+		{Name: "big_a_fk", Table: "big", Columns: []string{"a", "fk"}},
+		{Name: "big_fk_b", Table: "big", Columns: []string{"fk", "b"}},
+		{Name: "small_x", Table: "small", Columns: []string{"x"}},
+		{Name: "small_y_id", Table: "small", Columns: []string{"y", "id"}},
+	} {
+		if err := schema.AddIndex(ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A chain of ten instances (past dpLimit) with a second edge per link.
+	chain := "SELECT s0.x FROM small s0 JOIN big b1 ON b1.fk = s0.id"
+	for i := 2; i < 10; i++ {
+		chain += fmt.Sprintf(" JOIN big b%d ON b%d.fk = b%d.id AND b%d.a = b%d.a", i, i, i-1, i, i-1)
+	}
+	queries := []string{
+		"SELECT b.id FROM big b JOIN small s ON s.id = b.fk WHERE s.x = 3",
+		"SELECT b1.id FROM big b1 JOIN big b2 ON b2.fk = b1.id JOIN small s ON s.id = b1.fk AND s.y = b2.a WHERE b2.b < 40",
+		"SELECT s1.y FROM small s1 JOIN big b ON b.fk = s1.id JOIN small s2 ON s2.y = b.a JOIN small s3 ON s3.id = b.fk WHERE b.a = 7 AND s2.x IN (1, 2)",
+		"SELECT STRAIGHT_JOIN b.id FROM small s JOIN big b ON b.fk = s.id WHERE b.b > 10",
+		chain,
+	}
+	o := New(schema, sp)
+	for _, sql := range queries {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		sel := stmt.(*sqlparser.Select)
+		info, err := queryinfo.Analyze(sel, schema)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		cfg := o.indexConfigMode(nil, false)
+		plain := o.newSearch(info, cfg)
+		plain.memo = nil
+		want := plain.searchJoinOrder(sel.StraightJoin)
+		got := o.newSearch(info, cfg).searchJoinOrder(sel.StraightJoin)
+		render := func(r *joinResult) string {
+			out := fmt.Sprintf("%v %x %x", r.order, r.cost, r.rows)
+			for i, p := range r.paths {
+				out += fmt.Sprintf(" | %s %x %x", p.Desc(info.Layout.Instances[r.order[i]].Alias), p.probeCost, p.outRows)
+			}
+			return out
+		}
+		if g, w := render(got), render(want); g != w {
+			t.Errorf("%s\n memo: %s\nplain: %s", sql, g, w)
+		}
 	}
 }

@@ -202,7 +202,9 @@ func Analyze(sel *sqlparser.Select, schema *catalog.Schema) (*Info, error) {
 		if err := addRef(sel.Where); err != nil {
 			return nil, err
 		}
-		for _, e := range SplitAnd(sel.Where) {
+		conjuncts := SplitAnd(sel.Where)
+		info.Conjuncts = make([]*Conjunct, 0, len(conjuncts))
+		for _, e := range conjuncts {
 			cj, err := classifyConjunct(e, layout)
 			if err != nil {
 				return nil, err
@@ -262,6 +264,9 @@ func Analyze(sel *sqlparser.Select, schema *catalog.Schema) (*Info, error) {
 	}
 
 	for i, set := range refSets {
+		if len(set) > 0 {
+			info.Referenced[i] = make([]string, 0, len(set))
+		}
 		for c := range set {
 			info.Referenced[i] = append(info.Referenced[i], c)
 		}

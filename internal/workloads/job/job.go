@@ -7,8 +7,11 @@ package job
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"strings"
 
+	"aim/internal/catalog"
 	"aim/internal/engine"
 	"aim/internal/sqltypes"
 )
@@ -215,4 +218,48 @@ func Queries(seed int64) []string {
 			WHERE mi.info_val BETWEEN %d AND %d AND mk.keyword_id = %d LIMIT 50`,
 			r.Intn(4000), 5000+r.Intn(4000), r.Intn(1000)),
 	}
+}
+
+// tunedIndexes are the 18 secondary indexes the advisor adopts for the
+// 48-statement deck (Queries(0) … Queries(3)) on Build(0.5, 1), as table and
+// key columns.
+var tunedIndexes = [][]string{
+	{"cast_info", "movie_id", "person_id"},
+	{"cast_info", "movie_id", "role"},
+	{"cast_info", "role", "movie_id", "person_id"},
+	{"company_name", "country_code"},
+	{"company_name", "id", "country_code"},
+	{"keyword", "phonetic"},
+	{"movie_companies", "company_id", "movie_id"},
+	{"movie_companies", "movie_id", "company_id"},
+	{"movie_companies", "movie_id", "company_type"},
+	{"movie_info", "movie_id", "info_type", "info_val"},
+	{"movie_info", "movie_id", "info_val"},
+	{"movie_info", "info_type", "movie_id", "info_val"},
+	{"movie_keyword", "keyword_id", "movie_id"},
+	{"name", "id", "gender"},
+	{"title", "production_year"},
+	{"title", "id", "production_year"},
+	{"title", "id", "kind"},
+	{"title", "kind", "episode_nr"},
+}
+
+// TunedIndexes returns fresh definitions of the indexes the advisor adopts
+// for the deck, named as the advisor names them (the name decides the order
+// in which the planner considers indexes, and so its tie-breaks). Tests and
+// benchmarks use them to plan the deck on a tuned database.
+func TunedIndexes() []*catalog.Index {
+	out := make([]*catalog.Index, len(tunedIndexes))
+	for i, def := range tunedIndexes {
+		table, cols := def[0], def[1:]
+		h := fnv.New32a()
+		h.Write([]byte(table + ":" + strings.Join(cols, ",")))
+		out[i] = &catalog.Index{
+			Name:      fmt.Sprintf("aim_%s_%08x", table, h.Sum32()),
+			Table:     table,
+			Columns:   append([]string(nil), cols...),
+			CreatedBy: "aim",
+		}
+	}
+	return out
 }
